@@ -1,0 +1,35 @@
+"""Artifact writes: round-trip float text, atomic replace, and CSV tables.
+Every file the package writes goes through write_atomic, so a crash mid-write
+leaves the previous file or none, never a torn one."""
+
+import numbers
+import os
+
+
+def fmt(x):
+    """17 significant digits: round-trips float64 exactly."""
+    return format(float(x), ".17g")
+
+
+def write_atomic(path, data):
+    """Write str or bytes to a sibling temp file, then rename it over path.
+    open() creates the temp file, so path gets the mode a plain open() gives."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, "xb" if isinstance(data, bytes) else "x")  # never another's temp
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_csv(path, header, rows):
+    """One comma-separated line per row of an iterable of cell lists;
+    integers and strings are written as they are, every other cell through fmt."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(c) if isinstance(c, (str, numbers.Integral))
+                              else fmt(c) for c in row))
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -11,43 +11,48 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
-
-import numpy as np
 
 from . import __version__
-from .evaluation import export_manifold, global_r2_table, kl_report, rollout_mse
+from .artifacts import write_atomic, write_csv
+from .evaluation import (STAGES, export_manifold, global_r2_table, kl_report,
+                         rollout_mse, stage_n_c, stage_tasks)
 from .model import ModelConfig, OutOfRangeError
 from .physics import (OrbitGridConfig, PendulumGridConfig, PhysicsError,
                       generate_task_grid, load_tasks_jsonl, save_tasks_jsonl,
-                      select_contexts, split_meta)
+                      select_contexts)
 from .svg import line_chart, scatter_chart
-from .training import (PAPER_SCALE, TrainConfig, TrainDiverged, checkpoint_load,
-                       train, write_metrics_csv)
+from .training import (PAPER_SCALE, CheckpointError, TrainConfig, TrainDiverged,
+                       checkpoint_load, train, write_metrics_csv)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-STAGES = ("training", "test", "metatest20", "metatest2")
 
 
 class UsageError(Exception):
     pass
 
 
-def _atomic_write(path, data):
-    mode = "wb" if isinstance(data, bytes) else "w"
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, mode) as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _floats(text):
+    return [float(b) for b in text.split(",")]
+
+
+# Config fields that a flag (--name, dashes for underscores) or a key of the
+# INI section sets, with the type of their value. A field set by neither keeps
+# its config dataclass's default. A grid axis "lo:hi:count" sets the
+# <axis>_range and <axis>_count fields.
+GRID_FIELDS = {"l": str, "m": str, "r0": str, "v0r": str, "v0t": str,
+               "GM": float, "T": int, "dt": float, "seed": int}
+MODEL_FIELDS = {"dim_z": int, "dim_r": int}
+TRAIN_FIELDS = {"D": int, "beta": _floats, "batch_tasks": int, "epochs": int,
+                "lr": float, "n_c": int, "target_fraction": float,
+                "sigma_obs": float, "seed": int, "checkpoint_every": int}
+HELP = {"l": "pendulum length axis lo:hi:count",
+        "m": "pendulum mass axis lo:hi:count",
+        "r0": "orbit initial radius axis lo:hi:count",
+        "v0r": "orbit radial velocity axis lo:hi:count",
+        "v0t": "orbit tangential velocity axis lo:hi:count",
+        "beta": "comma-separated per-overshoot weights"}
 
 
 def _parse_axis(text, name):
@@ -80,74 +85,29 @@ def _read_config(path):
     return cp
 
 
-def _train_config(cp, args):
-    sec = cp["train"] if cp.has_section("train") else {}
-    msec = cp["model"] if cp.has_section("model") else {}
-
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in sec:
-            return cast(sec[key])
-        return default
-
-    model = ModelConfig(
-        dim_z=args.dim_z if args.dim_z is not None
-        else int(msec.get("dim_z", 3)),
-        dim_r=args.dim_r if args.dim_r is not None
-        else int(msec.get("dim_r", 3)),
-    )
-    D = pick(args.D, "D", int, 5)
-    beta = None
-    if args.beta is not None:
-        beta = [float(b) for b in args.beta.split(",")]
-    elif "beta" in sec:
-        beta = [float(b) for b in sec["beta"].split(",")]
-    cfg = TrainConfig(
-        D=D,
-        beta=beta,
-        batch_tasks=pick(args.batch_tasks, "batch_tasks", int, 8),
-        epochs=pick(args.epochs, "epochs", int, 300),
-        lr=pick(args.lr, "lr", float, 0.001),
-        n_c=pick(args.n_c, "n_c", int, 20),
-        target_fraction=pick(args.target_fraction, "target_fraction", float, 0.9),
-        sigma_obs=pick(args.sigma_obs, "sigma_obs", float, 0.1),
-        seed=_seed_override(pick(args.seed, "seed", int, 0)),
-        checkpoint_every=pick(args.checkpoint_every, "checkpoint_every", int, 100),
-        model=model,
-    )
-    return cfg
+def _settings(args, cp, section, fields):
+    """Each field's flag if given, else its INI key if present; fields set by
+    neither are left out."""
+    sec = cp[section] if cp.has_section(section) else {}
+    out = {}
+    for name, cast in fields.items():
+        if getattr(args, name) is not None:
+            out[name] = getattr(args, name)
+        elif name in sec:
+            out[name] = cast(sec[name])
+    return out
 
 
 def cmd_generate(args):
-    cp = _read_config(args.config)
-    gsec = cp["grid"] if cp.has_section("grid") else {}
-
-    def axis(flag, key, default):
-        text = flag if flag is not None else gsec.get(key, default)
-        return _parse_axis(text, key)
-
-    seed = _seed_override(args.seed if args.seed is not None
-                          else int(gsec.get("seed", 0)))
-    T = args.T if args.T is not None else int(gsec.get("T", 101))
-    dt = args.dt if args.dt is not None else float(gsec.get("dt", 0.1))
-    if args.system == "pendulum":
-        (l_range, l_count) = axis(args.l, "l", "1:3:5")
-        (m_range, m_count) = axis(args.m, "m", "1:4:5")
-        cfg = PendulumGridConfig(l_range=l_range, l_count=l_count,
-                                 m_range=m_range, m_count=m_count,
-                                 dt=dt, T=T, seed=seed)
-    else:
-        (r0_range, r0_count) = axis(args.r0, "r0", "1.5:2:3")
-        (v0r_range, v0r_count) = axis(args.v0r, "v0r", "0:0.2:3")
-        (v0t_range, v0t_count) = axis(args.v0t, "v0t", "0.7:0.8:3")
-        cfg = OrbitGridConfig(r0_range=r0_range, r0_count=r0_count,
-                              v0r_range=v0r_range, v0r_count=v0r_count,
-                              v0t_range=v0t_range, v0t_count=v0t_count,
-                              GM=args.GM, dt=dt, T=T, seed=seed)
+    cls = PendulumGridConfig if args.system == "pendulum" else OrbitGridConfig
+    names = {f.name for f in dataclasses.fields(cls)}
+    kw = _settings(args, _read_config(args.config), "grid", GRID_FIELDS)
+    for axis in [k for k in kw if f"{k}_range" in names]:
+        kw[f"{axis}_range"], kw[f"{axis}_count"] = _parse_axis(kw.pop(axis), axis)
+    cfg = cls(**{k: v for k, v in kw.items() if k in names})
+    cfg.seed = _seed_override(cfg.seed)
     tasks, skipped = generate_task_grid(cfg)
-    from .physics import task_to_json
-    _atomic_write(args.out, "".join(task_to_json(t) + "\n" for t in tasks))
+    save_tasks_jsonl(tasks, args.out)
     print(f"wrote {len(tasks)} tasks to {args.out} "
           f"({skipped} unbound orbit points skipped)")
     return 0
@@ -156,9 +116,14 @@ def cmd_generate(args):
 def cmd_train(args):
     if not os.path.exists(args.data):
         raise UsageError(f"dataset not found: {args.data}")
-    cfg = _train_config(_read_config(args.config), args)
+    cp = _read_config(args.config)
+    cfg = TrainConfig(model=ModelConfig(**_settings(args, cp, "model", MODEL_FIELDS)),
+                      **_settings(args, cp, "train", TRAIN_FIELDS))
+    cfg.seed = _seed_override(cfg.seed)
+    if cfg.epochs < 1:
+        raise UsageError(f"epochs must be at least 1, got {cfg.epochs}")
     tasks = load_tasks_jsonl(args.data)
-    meta_train, _ = split_meta(tasks, 0.9, cfg.seed)
+    meta_train = stage_tasks(tasks, "training", cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
     metrics = os.path.join(args.out, "metrics.csv")
@@ -177,13 +142,14 @@ def cmd_train(args):
         "tool_version": __version__,
         "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
-        "dataset": os.path.abspath(args.data),
+        # paths relative to the run dir, so that a run moves with its dataset
+        "dataset": os.path.relpath(args.data, args.out),
         "dataset_sha256": _sha256(args.data),
-        "checkpoint": os.path.abspath(ckpt),
-        "metrics_csv": os.path.abspath(metrics),
+        "checkpoint": os.path.basename(ckpt),
+        "metrics_csv": os.path.basename(metrics),
     }
-    _atomic_write(os.path.join(args.out, "manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(os.path.join(args.out, "manifest.json"),
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"final loss {history[-1].total:.6g} "
           f"(initial {history[0].total:.6g}); run dir {args.out}")
     return 0
@@ -195,14 +161,14 @@ def _load_run(rundir):
         raise UsageError(f"no manifest.json in {rundir}")
     with open(manifest_path) as f:
         manifest = json.load(f)
-    model, cfg = checkpoint_load(manifest["checkpoint"])
-    tasks = load_tasks_jsonl(manifest["dataset"])
-    return manifest, model, cfg, tasks
-
-
-def _stage_tasks(tasks, stage, seed):
-    meta_train, meta_test = split_meta(tasks, 0.9, seed)
-    return meta_test if stage.startswith("metatest") else meta_train
+    try:
+        # joining keeps the absolute paths that older manifests hold
+        ckpt = os.path.join(rundir, manifest["checkpoint"])
+        data = os.path.join(rundir, manifest["dataset"])
+    except KeyError as exc:
+        raise UsageError(f"{manifest_path} has no {exc} entry") from exc
+    model, cfg = checkpoint_load(ckpt)
+    return model, cfg, load_tasks_jsonl(data)
 
 
 def _aligned(rows):
@@ -211,70 +177,55 @@ def _aligned(rows):
 
 
 def cmd_eval(args):
-    manifest, model, cfg, tasks = _load_run(args.run)
+    model, cfg, tasks = _load_run(args.run)
     seed = _seed_override(args.eval_seed)
     stage = args.stage
-    stage_set = _stage_tasks(tasks, stage, cfg.seed)
-    n_c = 2 if stage == "metatest2" else cfg.n_c
+    stage_set = stage_tasks(tasks, stage, cfg.seed)
+    n_c = stage_n_c(stage, cfg.n_c)
 
     mse = rollout_mse(model, stage_set, stage, cfg.D, n_c=n_c,
                       fraction=cfg.target_fraction, seed=seed)
     kls = kl_report(model, stage_set, stage, cfg, seed=seed)
-    r2s = global_r2_table(model, stage_set, n_c=n_c, seed=seed,
-                          ctx_mode="metatest_prefix" if stage.startswith("metatest")
-                          else "train_random")
+    r2s = global_r2_table(model, stage_set, n_c=n_c, seed=seed, stage=stage)
 
-    os.makedirs(args.run, exist_ok=True)
-    mse_header = ",".join(["stage"] + [f"T+{d}" for d in range(cfg.D + 1)])
-    mse_line = ",".join([stage] + [format(v, ".17g") for v in mse.mse])
-    _atomic_write(os.path.join(args.run, f"mse_{stage}.csv"),
-                  mse_header + "\n" + mse_line + "\n")
-    kl_header = ",".join(["stage"] + [f"kl{d}" for d in range(1, cfg.D + 1)])
-    kl_line = ",".join([stage] + [format(v, ".17g") for v in kls])
-    _atomic_write(os.path.join(args.run, f"kl_{stage}.csv"),
-                  kl_header + "\n" + kl_line + "\n")
-    r2_lines = ["target,degree,r2"] + [
-        f"{r.target},{r.degree},{format(r.r2, '.17g')}" for r in r2s]
-    _atomic_write(os.path.join(args.run, f"r2_{stage}.csv"),
-                  "\n".join(r2_lines) + "\n")
-
-    print(_aligned([["MSE"] + [f"T+{d}" for d in range(cfg.D + 1)],
-                    [stage] + [f"{v:.5g}" for v in mse.mse]]))
-    print()
-    print(_aligned([["KL"] + [f"kl{d}" for d in range(1, cfg.D + 1)],
-                    [stage] + [f"{v:.5g}" for v in kls]]))
-    print()
-    print(_aligned([["target", "degree", "r2"]]
-                   + [[r.target, str(r.degree), f"{r.r2:.5g}"] for r in r2s]))
+    tables = {
+        "mse": (["stage"] + [f"T+{d}" for d in range(cfg.D + 1)], [[stage, *mse.mse]]),
+        "kl": (["stage"] + [f"kl{d}" for d in range(1, cfg.D + 1)], [[stage, *kls]]),
+        "r2": (["target", "degree", "r2"], [[r.target, r.degree, r.r2] for r in r2s]),
+    }
+    shown = []
+    for kind, (header, rows) in tables.items():
+        write_csv(os.path.join(args.run, f"{kind}_{stage}.csv"), header, rows)
+        title = [kind.upper()] + header[1:] if header[0] == "stage" else header
+        shown.append(_aligned([title] + [[c if isinstance(c, str) else f"{c:.5g}"
+                                          for c in row] for row in rows]))
+    print("\n\n".join(shown))
 
     if args.manifold_out:
         export_manifold(model, stage_set, args.manifold_out + "_global.csv",
                         args.manifold_out + "_states.csv", n_c=n_c, seed=seed,
-                        ctx_mode="metatest_prefix" if stage.startswith("metatest")
-                        else "train_random")
+                        stage=stage)
         print(f"manifold CSVs written with prefix {args.manifold_out}")
     return 0
 
 
 def cmd_rollout(args):
-    manifest, model, cfg, tasks = _load_run(args.run)
+    model, cfg, tasks = _load_run(args.run)
     by_id = {t.task_id: t for t in tasks}
     if args.task not in by_id:
         raise UsageError(f"task {args.task} not in dataset")
     task = by_id[args.task]
     seed = _seed_override(args.eval_seed)
-    ctx = select_contexts(task, cfg.n_c, "metatest_prefix", seed + task.task_id)
+    # the run's n_c contexts from the sequence prefix, as the meta-test stages draw them
+    ctx = select_contexts(task, cfg.n_c, STAGES["metatest20"].ctx_mode,
+                          seed + task.task_id)
     try:
         pred = model.predict_observations(task, ctx, args.start, args.horizon)
     except OutOfRangeError as exc:
         raise UsageError(str(exc)) from exc
-    lines = ["t,true_x,true_y,pred_x,pred_y"]
-    for i in range(args.horizon + 1):
-        t = args.start + i
-        true = task.observations[t]
-        lines.append(",".join([str(t)] + [format(v, ".17g")
-                                          for v in (*true, *pred[i])]))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    rows = [[args.start + i, *task.observations[args.start + i], *pred[i]]
+            for i in range(args.horizon + 1)]
+    write_csv(args.out, ["t", "true_x", "true_y", "pred_x", "pred_y"], rows)
     print(f"wrote {args.horizon + 1} rows to {args.out}")
     return 0
 
@@ -311,9 +262,15 @@ def cmd_plot(args):
                          x_label="epoch", y_label="loss")
     else:
         raise UsageError(f"unknown CSV schema: {header}")
-    _atomic_write(args.out, svg)
+    write_atomic(args.out, svg)
     print(f"wrote {args.out}")
     return 0
+
+
+def _add_fields(parser, fields):
+    for name, cast in fields.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=cast, dest=name,
+                            help=HELP.get(name))
 
 
 def build_parser():
@@ -324,38 +281,19 @@ def build_parser():
     g.add_argument("--system", choices=["pendulum", "orbit"], required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--config")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--T", type=int)
-    g.add_argument("--dt", type=float)
-    g.add_argument("--l", help="pendulum length axis lo:hi:count")
-    g.add_argument("--m", help="pendulum mass axis lo:hi:count")
-    g.add_argument("--r0", help="orbit initial radius axis lo:hi:count")
-    g.add_argument("--v0r", help="orbit radial velocity axis lo:hi:count")
-    g.add_argument("--v0t", help="orbit tangential velocity axis lo:hi:count")
-    g.add_argument("--GM", type=float, default=1.0)
+    _add_fields(g, GRID_FIELDS)
     g.set_defaults(func=cmd_generate)
 
     t = sub.add_parser("train", help="train on a JSONL dataset")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--config")
-    t.add_argument("--D", type=int)
-    t.add_argument("--beta", help="comma-separated per-overshoot weights")
-    t.add_argument("--batch-tasks", type=int, dest="batch_tasks")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--n-c", type=int, dest="n_c")
-    t.add_argument("--target-fraction", type=float, dest="target_fraction")
-    t.add_argument("--sigma-obs", type=float, dest="sigma_obs")
-    t.add_argument("--seed", type=int)
-    t.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    t.add_argument("--dim-z", type=int, dest="dim_z")
-    t.add_argument("--dim-r", type=int, dest="dim_r")
+    _add_fields(t, {**TRAIN_FIELDS, **MODEL_FIELDS})
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="R2 / MSE / KL tables for a run")
     e.add_argument("--run", required=True)
-    e.add_argument("--stage", choices=STAGES, required=True)
+    e.add_argument("--stage", choices=list(STAGES), required=True)
     e.add_argument("--eval-seed", type=int, default=12345, dest="eval_seed")
     e.add_argument("--manifold-out", dest="manifold_out")
     e.set_defaults(func=cmd_eval)
@@ -386,7 +324,7 @@ def main(argv=None):
     except (PhysicsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, CheckpointError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -5,12 +5,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import select_contexts
+from .artifacts import write_csv
+from .physics import select_contexts, split_meta
 from .training import elbo_loss, split_frames
 
 
 class DegenerateTargetError(Exception):
     pass
+
+
+class UnderdeterminedFitError(ValueError):
+    """Fewer samples than the polynomial fit has coefficients, plus one."""
+
+
+@dataclass(frozen=True)
+class Stage:
+    meta_test: bool  # score the held-out tasks of split_meta, else the meta-train ones
+    ctx_mode: str  # select_contexts mode
+    n_c: int | None  # context pairs; None means the run's own n_c
+    frames: str  # "targets" or "heldout" of split_frames, or "all" eligible frames
+
+
+# What each evaluation stage scores, for every metric and export of that stage.
+STAGES = {
+    "training": Stage(False, "train_random", None, "targets"),
+    "test": Stage(False, "train_random", None, "heldout"),
+    "metatest20": Stage(True, "metatest_prefix", 20, "all"),
+    "metatest2": Stage(True, "metatest_prefix", 2, "all"),
+}
+META_TRAIN_RATIO = 0.9
 
 
 @dataclass
@@ -49,27 +72,36 @@ def fit_poly_r2(features, target, degree, name=""):
         raise DegenerateTargetError(f"target {name!r} has zero variance")
     X = _poly_features(features, degree)
     if X.shape[0] < X.shape[1] + 1:
-        raise ValueError(f"need at least {X.shape[1] + 1} samples, got {X.shape[0]}")
+        raise UnderdeterminedFitError(
+            f"need at least {X.shape[1] + 1} samples, got {X.shape[0]}")
     gram = X.T @ X + 1e-8 * np.eye(X.shape[1])
     beta = np.linalg.solve(gram, X.T @ target)
     ss_res = float(np.sum((target - X @ beta) ** 2))
     return R2Report(target=name, degree=degree, r2=1.0 - ss_res / ss_tot)
 
 
+def stage_tasks(tasks, stage, seed):
+    """The side of the seeded meta split that a stage scores."""
+    meta_train, meta_test = split_meta(tasks, META_TRAIN_RATIO, seed)
+    return meta_test if STAGES[stage].meta_test else meta_train
+
+
+def stage_n_c(stage, run_n_c):
+    """Context pairs a stage draws, given the n_c the run was trained with."""
+    n_c = STAGES[stage].n_c
+    return run_n_c if n_c is None else n_c
+
+
 def context_for_stage(task, stage, n_c, seed):
-    mode = "metatest_prefix" if stage.startswith("metatest") else "train_random"
-    return select_contexts(task, n_c, mode, seed + task.task_id)
+    return select_contexts(task, n_c, STAGES[stage].ctx_mode, seed + task.task_id)
 
 
 def stage_frames(task, stage, D, fraction, seed):
     """Which frames are scored per stage: the seeded target/heldout split for
     training/test, every eligible frame for meta-test."""
     targets, heldout = split_frames(task.length, D, fraction, seed + task.task_id)
-    if stage == "training":
-        return targets
-    if stage == "test":
-        return heldout
-    return np.arange(D + 1, task.length)
+    return {"targets": targets, "heldout": heldout,
+            "all": np.arange(D + 1, task.length)}[STAGES[stage].frames]
 
 
 def rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
@@ -105,8 +137,7 @@ def kl_report(model, tasks, stage, cfg, seed=0):
     if not tasks:
         raise ValueError("need at least one task")
     rng = np.random.default_rng(seed)
-    n_c = cfg.n_c if not stage.startswith("metatest") else \
-        (2 if stage == "metatest2" else 20)
+    n_c = stage_n_c(stage, cfg.n_c)
     kls = []
     for task in tasks:
         frames = stage_frames(task, stage, cfg.D, cfg.target_fraction, seed)
@@ -118,51 +149,44 @@ def kl_report(model, tasks, stage, cfg, seed=0):
     return list(np.mean(np.asarray(kls), axis=0))
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def export_manifold(model, tasks, global_path, state_path, n_c=20, seed=0,
-                    ctx_mode="train_random"):
+                    stage="training"):
     """Write one CSV row per task (r_c + true globals) and one per frame
     (recognized z mean + true state)."""
-    dim_r = model.cfg.dim_r
-    dim_z = model.cfg.dim_z
     global_keys = list(tasks[0].globals.keys())
-    g_lines = [",".join([f"r_c_{i}" for i in range(dim_r)] + global_keys)]
-    state_dim = tasks[0].states.shape[1]
-    s_lines = [",".join(["task_id"] + [f"z_{i}" for i in range(dim_z)]
-                        + [f"state_{i}" for i in range(state_dim)])]
+    r_cs, zs = [], []
     for task in tasks:
-        ctx = select_contexts(task, n_c, ctx_mode, seed + task.task_id)
-        r_c = model.encode_context(ctx).value
-        g_lines.append(",".join([_fmt(v) for v in r_c]
-                                + [_fmt(task.globals[k]) for k in global_keys]))
+        ctx = context_for_stage(task, stage, n_c, seed)
+        r_cs.append(model.encode_context(ctx).value)
         obs = task.observations
         pairs = np.concatenate([obs[:-1], obs[1:]], axis=1)
-        z = model.recognize(pairs).mean.value
-        for t in range(1, task.length):
-            s_lines.append(",".join([str(task.task_id)]
-                                    + [_fmt(v) for v in z[t - 1]]
-                                    + [_fmt(v) for v in task.states[t]]))
-    with open(global_path, "w") as f:
-        f.write("\n".join(g_lines) + "\n")
-    with open(state_path, "w") as f:
-        f.write("\n".join(s_lines) + "\n")
+        zs.append(model.recognize(pairs).mean.value)
+    write_csv(global_path, [f"r_c_{i}" for i in range(model.cfg.dim_r)] + global_keys,
+              ([*r_c, *(task.globals[k] for k in global_keys)]
+               for r_c, task in zip(r_cs, tasks)))
+    write_csv(state_path, ["task_id"] + [f"z_{i}" for i in range(model.cfg.dim_z)]
+              + [f"state_{i}" for i in range(tasks[0].states.shape[1])],
+              ([task.task_id, *z[t - 1], *task.states[t]]
+               for task, z in zip(tasks, zs) for t in range(1, task.length)))
 
 
-def global_r2_table(model, tasks, n_c=20, seed=0, ctx_mode="train_random"):
-    """R^2 of r_c against every ground-truth global, degrees 1 and 2."""
-    features = []
-    for task in tasks:
-        ctx = select_contexts(task, n_c, ctx_mode, seed + task.task_id)
-        features.append(model.encode_context(ctx).value)
-    features = np.stack(features)
+def global_r2_table(model, tasks, n_c=20, seed=0, stage="training"):
+    """R^2 of r_c against every ground-truth global, degrees 1 and 2.
+
+    Targets with zero variance and fits with too few tasks for their
+    coefficients are left out.
+    """
+    features = np.stack([
+        model.encode_context(context_for_stage(task, stage, n_c, seed)).value
+        for task in tasks])
     reports = []
     for key in tasks[0].globals.keys():
         target = np.array([task.globals[key] for task in tasks])
         if float(np.var(target)) == 0.0:
             continue
         for degree in (1, 2):
-            reports.append(fit_poly_r2(features, target, degree, name=key))
+            try:
+                reports.append(fit_poly_r2(features, target, degree, name=key))
+            except UnderdeterminedFitError:
+                pass
     return reports

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import fmt, write_atomic
+
 
 class PhysicsError(Exception):
     pass
@@ -276,20 +278,15 @@ def select_contexts(task, n_c, mode, seed):
     return ContextSet(pairs=pairs, indices=starts)
 
 
-def _fmt(x):
-    """17 significant digits: round-trips float64 exactly."""
-    return format(float(x), ".17g")
-
-
 def _fmt_rows(arr):
     return "[" + ", ".join(
-        "[" + ", ".join(_fmt(v) for v in row) + "]" for row in arr
+        "[" + ", ".join(fmt(v) for v in row) + "]" for row in arr
     ) + "]"
 
 
 def task_to_json(task):
     globals_json = "{" + ", ".join(
-        f"{json.dumps(k)}: {_fmt(v)}" for k, v in task.globals.items()
+        f"{json.dumps(k)}: {fmt(v)}" for k, v in task.globals.items()
     ) + "}"
     return ("{" +
             f'"task_id": {task.task_id}, '
@@ -297,7 +294,7 @@ def task_to_json(task):
             f'"globals": {globals_json}, '
             f'"states": {_fmt_rows(task.states)}, '
             f'"observations": {_fmt_rows(task.observations)}, '
-            f'"dt": {_fmt(task.dt)}, '
+            f'"dt": {fmt(task.dt)}, '
             f'"seed": {task.seed}' +
             "}")
 
@@ -311,9 +308,7 @@ def task_from_json(line):
 
 
 def save_tasks_jsonl(tasks, path):
-    with open(path, "w") as f:
-        for task in tasks:
-            f.write(task_to_json(task) + "\n")
+    write_atomic(path, "".join(task_to_json(task) + "\n" for task in tasks))
 
 
 def load_tasks_jsonl(path):

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import write_atomic, write_csv
 from .autodiff import NonFiniteError, Tensor
 from .model import ModelConfig, NeurPhyModel
 from .nn import Adam, gaussian_obs_nll, kl_diag_gauss, reparameterize
@@ -57,6 +58,11 @@ class TrainConfig:
             self.beta = [1.0] * self.D
         if len(self.beta) != self.D:
             raise ValueError(f"need {self.D} beta weights, got {len(self.beta)}")
+        if self.batch_tasks < 1:
+            raise ValueError(f"batch_tasks must be at least 1, got {self.batch_tasks}")
+        if not (self.sigma_obs > 0 and self.lr > 0):
+            raise ValueError(f"sigma_obs and lr must be positive, got "
+                             f"{self.sigma_obs} and {self.lr}")
 
 
 # Paper-scale protocol, for reference against the desk-scale defaults above:
@@ -177,14 +183,12 @@ def train(tasks, cfg, model=None, checkpoint_path=None, on_epoch=None):
 
 
 def write_metrics_csv(history, D, path):
-    lines = ["epoch,recon," + ",".join(f"kl{d}" for d in range(1, D + 1)) + ",total"]
+    header = ["epoch", "recon"] + [f"kl{d}" for d in range(1, D + 1)] + ["total"]
+    rows = []
     for epoch, br in enumerate(history):
         kl = br.kl + [0.0] * (D - len(br.kl))
-        lines.append(",".join([str(epoch), format(br.recon, ".17g")]
-                              + [format(k, ".17g") for k in kl]
-                              + [format(br.total, ".17g")]))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        rows.append([epoch, br.recon, *kl, br.total])
+    write_csv(path, header, rows)
 
 
 def _config_to_json(cfg):
@@ -215,8 +219,7 @@ def checkpoint_save(model, cfg, path):
             body += struct.pack("<I", dim)
         body += np.ascontiguousarray(p.value, dtype="<f8").tobytes()
     body += struct.pack("<I", zlib.crc32(bytes(body)))
-    with open(path, "wb") as f:
-        f.write(bytes(body))
+    write_atomic(path, bytes(body))
 
 
 def checkpoint_load(path):

@@ -1,0 +1,29 @@
+import os
+import stat
+
+from neurphy.artifacts import fmt, write_atomic, write_csv
+
+
+def test_fmt_round_trips_float64():
+    for x in (0.1, 1.0 / 3.0, -2.5e-300, 1e17, 5e-324):
+        assert float(fmt(x)) == x
+
+
+def test_write_atomic_replaces_with_plain_open_mode(tmp_path):
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w") as f:
+        f.write("x")
+    path = tmp_path / "a.txt"
+    path.write_text("old contents")
+    write_atomic(path, "new")
+    write_atomic(tmp_path / "b.bin", b"\x00\x01")
+    assert path.read_text() == "new"
+    assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
+    assert stat.S_IMODE(os.stat(path).st_mode) == stat.S_IMODE(os.stat(plain).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.bin", "plain.txt"]
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["name", "n", "x"], [["a", 3, 0.1], ["b", -1, 2.0]])
+    assert path.read_text() == "name,n,x\na,3,0.10000000000000001\nb,-1,2\n"

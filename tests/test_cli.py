@@ -1,9 +1,10 @@
 import json
 import os
+import shutil
 
 import pytest
 
-from neurphy.cli import EXIT_IO, EXIT_USAGE, main
+from neurphy.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
 from neurphy.physics import load_tasks_jsonl
 
 
@@ -189,3 +190,102 @@ def test_seed_env_override(dataset, tmp_path, monkeypatch):
                 "--n-c", "4", "--dim-z", "2", "--dim-r", "2", "--seed", "0"]) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["seed"] == 7
+
+
+def test_generate_grid_gm_from_config(tmp_path):
+    axes = ["--r0", "1.5:2:2", "--v0r", "0:0.2:2", "--v0t", "0.7:0.8:2", "--T", "15"]
+    cfgfile = tmp_path / "grid.ini"
+    cfgfile.write_text("[grid]\nGM = 1.2\n")
+    paths = [tmp_path / f"{name}.jsonl" for name in ("ini", "flag", "default")]
+    for path, extra in zip(paths, (["--config", str(cfgfile)], ["--GM", "1.2"], [])):
+        assert run(["generate", "--system", "orbit", "--out", str(path)]
+                   + axes + extra) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_bytes() != paths[2].read_bytes()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--batch-tasks", "-1"), ("--sigma-obs", "0"), ("--sigma-obs", "-0.1"),
+    ("--lr", "0"), ("--epochs", "0")])
+def test_train_rejects_bad_input(dataset, tmp_path, flag, value):
+    out = tmp_path / "bad"
+    rc = run(["train", "--data", str(dataset), "--out", str(out), "--D", "1",
+              "--epochs", "1", "--n-c", "4", "--dim-z", "2", "--dim-r", "2",
+              flag, value])
+    assert rc == EXIT_USAGE
+    assert not (out / "metrics.csv").exists()
+
+
+def test_train_divergence_exits_numeric(dataset, tmp_path, capsys):
+    out = tmp_path / "div"
+    rc = run(["train", "--data", str(dataset), "--out", str(out), "--D", "1",
+              "--epochs", "2", "--n-c", "4", "--dim-z", "2", "--dim-r", "2",
+              "--sigma-obs", "1e-160"])
+    assert rc == EXIT_NUMERIC
+    assert "non-finite" in capsys.readouterr().err
+    assert (out / "metrics.csv").read_text() == "epoch,recon,kl1,total\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_eval_metatest20_few_tasks_skips_r2_and_writes_manifold(tmp_path):
+    # 25 tasks leave 3 meta-test tasks: too few for an R^2 fit on dim_r = 3
+    data = tmp_path / "pend.jsonl"
+    assert run(["generate", "--system", "pendulum", "--out", str(data),
+                "--l", "1:3:5", "--m", "1:4:5", "--T", "24"]) == 0
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "1",
+                "--epochs", "1", "--batch-tasks", "11", "--dim-z", "2",
+                "--dim-r", "3"]) == 0
+    prefix = str(tmp_path / "mani")
+    assert run(["eval", "--run", str(out), "--stage", "metatest20",
+                "--manifold-out", prefix]) == 0
+    assert (out / "r2_metatest20.csv").read_text() == "target,degree,r2\n"
+    g_lines = open(prefix + "_global.csv").read().strip().split("\n")
+    assert g_lines[0] == "r_c_0,r_c_1,r_c_2,l,m" and len(g_lines) == 4
+    assert os.path.exists(prefix + "_states.csv")
+    assert run(["plot", "--in", prefix + "_global.csv",
+                "--out", str(tmp_path / "mani.svg")]) == 0
+
+
+@pytest.fixture
+def small_tree(dataset, tmp_path):
+    """A directory holding a dataset and a run trained on it."""
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    shutil.copy(dataset, tree / "pend.jsonl")
+    assert run(["train", "--data", str(tree / "pend.jsonl"),
+                "--out", str(tree / "run"), "--D", "1", "--epochs", "1",
+                "--batch-tasks", "4", "--n-c", "4", "--dim-z", "2",
+                "--dim-r", "2"]) == 0
+    return tree
+
+
+def test_run_dir_relocatable(small_tree, tmp_path):
+    manifest = json.loads((small_tree / "run" / "manifest.json").read_text())
+    assert manifest["dataset"] == os.path.join("..", "pend.jsonl")
+    assert manifest["checkpoint"] == "model.ckpt"
+    moved = tmp_path / "moved"
+    shutil.move(small_tree, moved)
+    run_dir = str(moved / "run")
+    assert run(["eval", "--run", run_dir, "--stage", "training"]) == 0
+    assert run(["rollout", "--run", run_dir, "--task", "0", "--start", "3",
+                "--horizon", "5", "--out", str(tmp_path / "roll.csv")]) == 0
+
+
+def test_eval_corrupt_checkpoint_is_io_error(small_tree, capsys):
+    ckpt = small_tree / "run" / "model.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    ckpt.write_bytes(bytes(raw))
+    rc = run(["eval", "--run", str(small_tree / "run"), "--stage", "training"])
+    assert rc == EXIT_IO
+    assert "checksum" in capsys.readouterr().err
+
+
+def test_eval_manifest_missing_key_is_usage_error(small_tree):
+    path = small_tree / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["dataset"]
+    path.write_text(json.dumps(manifest))
+    assert run(["eval", "--run", str(small_tree / "run"),
+                "--stage", "training"]) == EXIT_USAGE

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurphy.evaluation import (DegenerateTargetError, MseTable, R2Report,
-                                export_manifold, fit_poly_r2, global_r2_table,
-                                kl_report, rollout_mse)
+                                UnderdeterminedFitError, export_manifold,
+                                fit_poly_r2, global_r2_table, kl_report,
+                                rollout_mse, stage_n_c, stage_tasks)
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.physics import PendulumGridConfig, generate_task_grid
 from neurphy.training import TrainConfig
@@ -119,3 +120,26 @@ def test_global_r2_table_rows(tasks):
     assert [(r.target, r.degree) for r in reports] == \
         [("l", 1), ("l", 2), ("m", 1), ("m", 2)]
     assert all(r.r2 <= 1.0 for r in reports)
+
+
+def test_r2_underdetermined_fit():
+    x = np.random.default_rng(5).normal(size=(3, 3))
+    with pytest.raises(UnderdeterminedFitError):
+        fit_poly_r2(x, np.arange(3.0), 1)
+
+
+def test_global_r2_table_skips_underdetermined_fits(tasks):
+    model = small_model()  # dim_r = 2: degree 1 needs 4 tasks, degree 2 needs 7
+    reports = global_r2_table(model, tasks[:4], n_c=4, seed=0)
+    assert [(r.target, r.degree) for r in reports] == [("l", 1), ("m", 1)]
+    assert global_r2_table(model, tasks[:3], n_c=4, seed=0) == []
+
+
+def test_stage_table(tasks):
+    assert [stage_n_c(s, 4) for s in ("training", "test", "metatest20", "metatest2")] \
+        == [4, 4, 20, 2]
+    train_ids = {t.task_id for t in stage_tasks(tasks, "training", 0)}
+    assert train_ids == {t.task_id for t in stage_tasks(tasks, "test", 0)}
+    test_ids = {t.task_id for t in stage_tasks(tasks, "metatest2", 0)}
+    assert test_ids and not train_ids & test_ids
+    assert len(train_ids | test_ids) == len(tasks)
