@@ -148,18 +148,45 @@ def scale(a, c):
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim not in (1, 2) or b.value.ndim != 2:
+    if a.value.ndim != 2 or b.value.ndim != 2:
         raise ShapeMismatchError(f"matmul expects (batch,k)@(k,n), got {a.shape} @ {b.shape}")
-    if a.value.shape[-1] != b.value.shape[0]:
+    if a.value.shape[1] != b.value.shape[0]:
         raise ShapeMismatchError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = a.value @ b.value
 
     def vjp(g):
-        if a.value.ndim == 1:
-            return g @ b.value.T, np.outer(a.value, g)
         return g @ b.value.T, a.value.T @ g
 
     return Tensor(out, (a, b), vjp, _where="matmul")
+
+
+def _sigmoid(x):
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)  # tanh form is stable for large |x|
+
+
+# Activation name -> (forward, derivative written in terms of the forward's output).
+_LINEAR_ACTIVATIONS = {
+    "identity": (lambda h: h, lambda y: 1.0),
+    "relu": (lambda h: np.maximum(h, 0.0), lambda y: y > 0.0),
+    "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+}
+
+
+def linear(x, w, b, activation):
+    """activation(x @ w + b) as one graph node; x is (batch, k), w (k, n), b (n,)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.value.ndim != 2 or w.value.shape != (x.value.shape[1], b.value.shape[0]):
+        raise ShapeMismatchError(
+            f"linear expects (batch,k)@(k,n)+(n,), got {x.shape} @ {w.shape} + {b.shape}")
+    forward, derivative = _LINEAR_ACTIVATIONS[activation]
+    out = forward(x.value @ w.value + b.value)
+
+    def vjp(g):
+        gh = g * derivative(out)
+        return gh @ w.value.T, x.value.T @ gh, gh.sum(axis=0)
+
+    return Tensor(out, (x, w, b), vjp, _where="linear")
 
 
 def relu(a):
@@ -175,8 +202,7 @@ def relu(a):
 
 def sigmoid(a):
     a = as_tensor(a)
-    # tanh form is stable for large |x|
-    out = 0.5 * (np.tanh(0.5 * a.value) + 1.0)
+    out = _sigmoid(a.value)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -219,7 +245,7 @@ def log(a):
 def softplus(a):
     a = as_tensor(a)
     out = np.logaddexp(0.0, a.value)
-    sig = 0.5 * (np.tanh(0.5 * a.value) + 1.0)
+    sig = _sigmoid(a.value)
 
     def vjp(g):
         return (g * sig,)
@@ -299,6 +325,19 @@ def slice_last(a, start, stop):
         return (full,)
 
     return Tensor(out, (a,), vjp, _where="slice")
+
+
+def slice_rows(a, start, stop):
+    """Slice along the leading axis."""
+    a = as_tensor(a)
+    out = a.value[start:stop].copy()
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        full[start:stop] = g
+        return (full,)
+
+    return Tensor(out, (a,), vjp, _where="slice_rows")
 
 
 def tile_rows(a, n):

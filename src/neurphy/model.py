@@ -84,9 +84,7 @@ class NeurPhyModel:
 
     def transition(self, z, r_c):
         """p(z_t | z_{t-1}, r_c); z is (B, dim_z), r_c a 1-D tensor."""
-        n = z.value.shape[0] if z.value.ndim == 2 else 1
-        r_rows = ad.tile_rows(r_c, n) if z.value.ndim == 2 else r_c
-        h = self.transition_mlp(ad.concat([z, r_rows]))
+        h = self.transition_mlp(ad.concat([z, ad.tile_rows(r_c, z.value.shape[0])]))
         return self.transition_head(h)
 
     def decode(self, z):

@@ -9,6 +9,8 @@ from .autodiff import Tensor
 
 STD_FLOOR = 1e-3
 
+# The activations DenseLayer accepts, each with the standalone primitive it
+# names; ad.linear applies the same function fused with the affine map.
 _ACTIVATIONS = {
     "relu": ad.relu,
     "sigmoid": ad.sigmoid,
@@ -33,7 +35,7 @@ class DenseLayer:
         self.b = Tensor(np.zeros(out_dim))
 
     def __call__(self, x):
-        return _ACTIVATIONS[self.activation](ad.add(ad.matmul(x, self.w), self.b))
+        return ad.linear(x, self.w, self.b, self.activation)
 
     def parameters(self):
         return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]

@@ -10,9 +10,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .artifacts import write_atomic, write_csv
-from .autodiff import NonFiniteError, Tensor
+from .autodiff import NonFiniteError
 from .model import ModelConfig, NeurPhyModel
-from .nn import Adam, gaussian_obs_nll, kl_diag_gauss, reparameterize
+from .nn import Adam, DiagGaussian, gaussian_obs_nll, kl_diag_gauss, reparameterize
 from .physics import DegenerateSplitError, select_contexts
 
 CHECKPOINT_MAGIC = b"NPHY"
@@ -63,6 +63,8 @@ class TrainConfig:
         if not (self.sigma_obs > 0 and self.lr > 0):
             raise ValueError(f"sigma_obs and lr must be positive, got "
                              f"{self.sigma_obs} and {self.lr}")
+        if not 0.0 < self.target_fraction < 1.0:
+            raise ValueError(f"target_fraction must be in (0, 1), got {self.target_fraction}")
 
 
 # Paper-scale protocol, for reference against the desk-scale defaults above:
@@ -95,6 +97,10 @@ def split_frames(T, D, fraction, seed):
     return targets, heldout
 
 
+def _rows(g, start, stop):
+    return DiagGaussian(ad.slice_rows(g.mean, start, stop), ad.slice_rows(g.std, start, stop))
+
+
 def elbo_loss(model, task, ctx, targets, cfg, rng):
     """Reconstruction NLL plus per-overshoot latent KL terms, averaged over targets.
 
@@ -102,26 +108,46 @@ def elbo_loss(model, task, ctx, targets, cfg, rng):
     sampled transitions, and one more transition gives the prior that the
     current posterior is matched against (single-sample Monte Carlo throughout).
 
+    All overshoots share one graph. One recognize call covers the N targets'
+    pairs for d = 0, D, D-1, ..., 1, one contiguous block of N rows each. At
+    transition step k = 1..D the rows of every d >= k advance together: the
+    last block (d = k) is that step's prior and the rest are carried forward.
+    The noise is drawn in the order and shapes of the per-d loop (q_now, then
+    per d the recognized draw and its d-1 step draws), so this equals that
+    loop up to rounding.
+
     Returns (total Tensor for backward, LossBreakdown with unweighted KLs).
     """
     targets = np.asarray(targets)
     obs = task.observations
+    n, D = targets.size, cfg.D
     r_c = model.encode_context(ctx)
 
-    q_now = model.recognize(np.concatenate([obs[targets - 1], obs[targets]], axis=1))
-    z_now = reparameterize(q_now, rng.standard_normal(q_now.mean.value.shape))
+    shape = (n, model.cfg.dim_z)
+    start_noise = [rng.standard_normal(shape)]
+    step_noise = {}  # (d, k) -> noise of chain d's k-th sampled transition
+    for d in range(1, D + 1):
+        start_noise.append(rng.standard_normal(shape))
+        for k in range(1, d):
+            step_noise[d, k] = rng.standard_normal(shape)
+
+    back = np.concatenate([targets[None, :], targets - np.arange(D, 0, -1)[:, None]]).ravel()
+    q_all = model.recognize(np.concatenate([obs[back - 1], obs[back]], axis=1))
+    noise = np.concatenate([start_noise[0], *reversed(start_noise[1:])])
+    z_all = reparameterize(q_all, noise)
+    q_now = _rows(q_all, 0, n)
+    z_now = ad.slice_rows(z_all, 0, n)
     recon = ad.tmean(gaussian_obs_nll(obs[targets], model.decode(z_now), cfg.sigma_obs))
 
     kl_terms = []
-    for d in range(1, cfg.D + 1):
-        q_back = model.recognize(
-            np.concatenate([obs[targets - d - 1], obs[targets - d]], axis=1))
-        z = reparameterize(q_back, rng.standard_normal(q_back.mean.value.shape))
-        for _ in range(d - 1):
-            dist = model.transition(z, r_c)
-            z = reparameterize(dist, rng.standard_normal(dist.mean.value.shape))
-        prior = model.transition(z, r_c)
-        kl_terms.append(ad.tmean(kl_diag_gauss(q_now, prior)))
+    z = ad.slice_rows(z_all, n, (D + 1) * n)  # chains d = D..1
+    for k in range(1, D + 1):
+        dist = model.transition(z, r_c)
+        carried = (D - k) * n  # rows of chains d = D..k+1
+        kl_terms.append(ad.tmean(kl_diag_gauss(q_now, _rows(dist, carried, carried + n))))
+        if k < D:
+            z = reparameterize(_rows(dist, 0, carried),
+                               np.concatenate([step_noise[d, k] for d in range(D, k, -1)]))
 
     total = recon
     for d, kl_d in enumerate(kl_terms):

@@ -4,6 +4,7 @@ import pytest
 from neurphy import autodiff as ad
 from neurphy.autodiff import (NonFiniteError, NonScalarRootError,
                               ShapeMismatchError, Tensor, backward, grad_check)
+from neurphy.nn import _ACTIVATIONS
 
 
 def test_relu_forward():
@@ -25,6 +26,8 @@ def test_matmul_identity():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(ShapeMismatchError):
+        ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
 
 
 def test_nonfinite_raises():
@@ -124,6 +127,49 @@ def test_matmul_grad_wrt_weights():
         return ad.tsum(ad.square(ad.matmul(Tensor(x), t)))
 
     assert grad_check(f, np.random.default_rng(3).normal(size=(4, 3))) < 1e-4
+
+
+@pytest.mark.parametrize("start,stop", [(0, 2), (1, 4), (3, 5), (0, 5), (4, 5)])
+def test_slice_rows_gradcheck(start, stop):
+    def f(t):
+        return ad.tsum(ad.square(ad.slice_rows(ad.scale(t, 1.5), start, stop)))
+
+    x = np.random.default_rng(start).normal(size=(5, 3))
+    assert ad.slice_rows(Tensor(x), start, stop).shape == (stop - start, 3)
+    assert grad_check(f, x) < 1e-4
+
+
+@pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+def test_linear_gradcheck_and_matches_composition(activation):
+    rng = np.random.default_rng(len(activation))
+    x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    weights = Tensor(rng.normal(size=(5, 3)))  # makes the upstream gradient non-uniform
+
+    def loss(out):
+        return ad.tsum(ad.mul(out, weights))
+
+    assert grad_check(lambda t: loss(ad.linear(t, Tensor(w), Tensor(b), activation)), x) < 1e-4
+    assert grad_check(lambda t: loss(ad.linear(Tensor(x), t, Tensor(b), activation)), w) < 1e-4
+    assert grad_check(lambda t: loss(ad.linear(Tensor(x), Tensor(w), t, activation)), b) < 1e-4
+
+    fused = [Tensor(x), Tensor(w), Tensor(b)]
+    composed = [Tensor(x), Tensor(w), Tensor(b)]
+    out_f = ad.linear(*fused, activation)
+    out_c = _ACTIVATIONS[activation](ad.add(ad.matmul(composed[0], composed[1]), composed[2]))
+    assert np.max(np.abs(out_f.value - out_c.value)) <= 1e-15
+    backward(loss(out_f))
+    backward(loss(out_c))
+    for f, c in zip(fused, composed):
+        assert np.max(np.abs(f.grad - c.grad)) <= 1e-15
+
+
+def test_linear_shape_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)),
+                  "identity")
+    with pytest.raises(ShapeMismatchError):
+        ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)),
+                  "identity")
 
 
 def test_tile_rows_grad():

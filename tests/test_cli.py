@@ -206,14 +206,15 @@ def test_generate_grid_gm_from_config(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--batch-tasks", "-1"), ("--sigma-obs", "0"), ("--sigma-obs", "-0.1"),
-    ("--lr", "0"), ("--epochs", "0")])
+    ("--lr", "0"), ("--epochs", "0"), ("--target-fraction", "1.5"),
+    ("--target-fraction", "0"), ("--target-fraction", "1")])
 def test_train_rejects_bad_input(dataset, tmp_path, flag, value):
     out = tmp_path / "bad"
     rc = run(["train", "--data", str(dataset), "--out", str(out), "--D", "1",
               "--epochs", "1", "--n-c", "4", "--dim-z", "2", "--dim-r", "2",
               flag, value])
     assert rc == EXIT_USAGE
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
 def test_train_divergence_exits_numeric(dataset, tmp_path, capsys):
