@@ -3,6 +3,12 @@
 Define-by-run graph over float64 numpy arrays. Every op checks its output for
 NaN/Inf and raises instead of propagating; the batch dimension is always the
 leading axis.
+
+Each derivative is written once. _ELEMENTWISE holds the forward and the vjp
+of every element-wise function; _elementwise turns an entry into a primitive
+and linear fuses one with the affine map. The broadcasting binary ops come
+from _broadcasting, tsum/tmean from _reduction and slice_last/slice_rows from
+_slicer; scale, matmul, concat and tile_rows are written out.
 """
 
 import numpy as np
@@ -46,36 +52,11 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def ndim(self):
-        return self.value.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
 
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def as_tensor(x):
@@ -92,47 +73,76 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value + b.value
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
-
-    return Tensor(out, (a, b), vjp, _where="add")
+def _quiet(f, **errstate):
+    """f with the given numpy warnings off; Tensor reports a non-finite result."""
+    def quiet(*args):
+        with np.errstate(**errstate):
+            return f(*args)
+    return quiet
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value - b.value
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-
-    return Tensor(out, (a, b), vjp, _where="sub")
+def _sigmoid(x):
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)  # tanh form is stable for large |x|
 
 
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value * b.value
+# Element-wise function -> (forward(x), vjp(g, x, y)) with y = forward(x).
+_ELEMENTWISE = {
+    "identity": (lambda x: x, lambda g, x, y: g),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (y > 0.0)),
+    "sigmoid": (_sigmoid, lambda g, x, y: g * (y * (1.0 - y))),
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "exp": (_quiet(np.exp, over="ignore"), lambda g, x, y: g * y),
+    "log": (_quiet(np.log, divide="ignore", invalid="ignore"), lambda g, x, y: g / x),
+    "softplus": (lambda x: np.logaddexp(0.0, x), lambda g, x, y: g * _sigmoid(x)),
+    "sin": (np.sin, lambda g, x, y: g * np.cos(x)),
+    "square": (lambda x: x * x, lambda g, x, y: g * 2.0 * x),
+}
+# The activations linear fuses: their rules read only y, so linear's vjp does
+# not keep the pre-activation array alive.
+_FUSED = ("identity", "relu", "sigmoid", "tanh")
 
-    def vjp(g):
-        return (_unbroadcast(g * b.value, a.value.shape),
-                _unbroadcast(g * a.value, b.value.shape))
 
-    return Tensor(out, (a, b), vjp, _where="mul")
+def _elementwise(name):
+    forward, rule = _ELEMENTWISE[name]
+
+    def primitive(a):
+        a = as_tensor(a)
+        out = forward(a.value)
+        return Tensor(out, (a,), lambda g: (rule(g, a.value, out),), _where=name)
+
+    return primitive
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.value / b.value
+relu = _elementwise("relu")
+sigmoid = _elementwise("sigmoid")
+tanh = _elementwise("tanh")
+exp = _elementwise("exp")
+log = _elementwise("log")
+softplus = _elementwise("softplus")
+sin = _elementwise("sin")
+square = _elementwise("square")
 
-    def vjp(g):
-        return (_unbroadcast(g / b.value, a.value.shape),
-                _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
 
-    return Tensor(out, (a, b), vjp, _where="div")
+def _broadcasting(name, forward, rule):
+    """A binary primitive on broadcasting operands; rule(g, a, b) gives both
+    operands' gradients at the broadcast shape."""
+    def primitive(a, b):
+        a, b = as_tensor(a), as_tensor(b)
+
+        def vjp(g):
+            ga, gb = rule(g, a.value, b.value)
+            return _unbroadcast(ga, a.value.shape), _unbroadcast(gb, b.value.shape)
+
+        return Tensor(forward(a.value, b.value), (a, b), vjp, _where=name)
+
+    return primitive
+
+
+add = _broadcasting("add", np.add, lambda g, a, b: (g, g))
+sub = _broadcasting("sub", np.subtract, lambda g, a, b: (g, -g))
+mul = _broadcasting("mul", np.multiply, lambda g, a, b: (g * b, g * a))
+div = _broadcasting("div", _quiet(np.divide, divide="ignore", invalid="ignore"),
+                    lambda g, a, b: (g / b, -g * a / (b * b)))
 
 
 def scale(a, c):
@@ -160,142 +170,44 @@ def matmul(a, b):
     return Tensor(out, (a, b), vjp, _where="matmul")
 
 
-def _sigmoid(x):
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)  # tanh form is stable for large |x|
-
-
-# Activation name -> (forward, derivative written in terms of the forward's output).
-_LINEAR_ACTIVATIONS = {
-    "identity": (lambda h: h, lambda y: 1.0),
-    "relu": (lambda h: np.maximum(h, 0.0), lambda y: y > 0.0),
-    "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-}
-
-
 def linear(x, w, b, activation):
     """activation(x @ w + b) as one graph node; x is (batch, k), w (k, n), b (n,)."""
+    if activation not in _FUSED:
+        raise ValueError(f"linear cannot fuse activation {activation!r}")
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.value.ndim != 2 or w.value.shape != (x.value.shape[1], b.value.shape[0]):
         raise ShapeMismatchError(
             f"linear expects (batch,k)@(k,n)+(n,), got {x.shape} @ {w.shape} + {b.shape}")
-    forward, derivative = _LINEAR_ACTIVATIONS[activation]
+    forward, rule = _ELEMENTWISE[activation]
     out = forward(x.value @ w.value + b.value)
 
     def vjp(g):
-        gh = g * derivative(out)
+        gh = rule(g, None, out)
         return gh @ w.value.T, x.value.T @ gh, gh.sum(axis=0)
 
     return Tensor(out, (x, w, b), vjp, _where="linear")
 
 
-def relu(a):
-    a = as_tensor(a)
-    mask = a.value > 0.0
-    out = np.where(mask, a.value, 0.0)
+def _reduction(name, reduce, count):
+    """A reduction over one axis, or all of them if axis is None; the vjp spreads
+    g / count(value, axis) back over the reduced entries."""
+    def primitive(a, axis=None):
+        a = as_tensor(a)
+        n = count(a.value, axis)
 
-    def vjp(g):
-        return (np.where(mask, g, 0.0),)
+        def vjp(g):
+            if axis is None:
+                return (np.ones_like(a.value) * (g / n),)
+            return (np.broadcast_to(np.expand_dims(g / n, axis), a.value.shape).copy(),)
 
-    return Tensor(out, (a,), vjp, _where="relu")
+        return Tensor(reduce(a.value, axis=axis), (a,), vjp, _where=name)
 
-
-def sigmoid(a):
-    a = as_tensor(a)
-    out = _sigmoid(a.value)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor(out, (a,), vjp, _where="sigmoid")
+    return primitive
 
 
-def tanh(a):
-    a = as_tensor(a)
-    out = np.tanh(a.value)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return Tensor(out, (a,), vjp, _where="tanh")
-
-
-def exp(a):
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.value)
-
-    def vjp(g):
-        return (g * out,)
-
-    return Tensor(out, (a,), vjp, _where="exp")
-
-
-def log(a):
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.value)
-
-    def vjp(g):
-        return (g / a.value,)
-
-    return Tensor(out, (a,), vjp, _where="log")
-
-
-def softplus(a):
-    a = as_tensor(a)
-    out = np.logaddexp(0.0, a.value)
-    sig = _sigmoid(a.value)
-
-    def vjp(g):
-        return (g * sig,)
-
-    return Tensor(out, (a,), vjp, _where="softplus")
-
-
-def sin(a):
-    a = as_tensor(a)
-    out = np.sin(a.value)
-
-    def vjp(g):
-        return (g * np.cos(a.value),)
-
-    return Tensor(out, (a,), vjp, _where="sin")
-
-
-def square(a):
-    a = as_tensor(a)
-    out = a.value * a.value
-
-    def vjp(g):
-        return (g * 2.0 * a.value,)
-
-    return Tensor(out, (a,), vjp, _where="square")
-
-
-def tsum(a, axis=None):
-    a = as_tensor(a)
-    out = a.value.sum(axis=axis)
-
-    def vjp(g):
-        if axis is None:
-            return (np.ones_like(a.value) * g,)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy(),)
-
-    return Tensor(out, (a,), vjp, _where="sum")
-
-
-def tmean(a, axis=None):
-    a = as_tensor(a)
-    out = a.value.mean(axis=axis)
-    n = a.value.size if axis is None else a.value.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return (np.ones_like(a.value) * (g / n),)
-        return (np.broadcast_to(np.expand_dims(g / n, axis), a.value.shape).copy(),)
-
-    return Tensor(out, (a,), vjp, _where="mean")
+tsum = _reduction("sum", np.ndarray.sum, lambda v, axis: 1)
+tmean = _reduction("mean", np.ndarray.mean,
+                   lambda v, axis: v.size if axis is None else v.shape[axis])
 
 
 def concat(parts):
@@ -314,30 +226,24 @@ def concat(parts):
     return Tensor(out, tuple(parts), vjp, _where="concat")
 
 
-def slice_last(a, start, stop):
-    """Slice along the last axis."""
-    a = as_tensor(a)
-    out = a.value[..., start:stop].copy()
+def _slicer(name, index):
+    """a[index(slice(start, stop))] as a primitive; the vjp zero-fills the rest."""
+    def primitive(a, start, stop):
+        a = as_tensor(a)
+        where = index(slice(start, stop))
 
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[..., start:stop] = g
-        return (full,)
+        def vjp(g):
+            full = np.zeros_like(a.value)
+            full[where] = g
+            return (full,)
 
-    return Tensor(out, (a,), vjp, _where="slice")
+        return Tensor(a.value[where].copy(), (a,), vjp, _where=name)
+
+    return primitive
 
 
-def slice_rows(a, start, stop):
-    """Slice along the leading axis."""
-    a = as_tensor(a)
-    out = a.value[start:stop].copy()
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[start:stop] = g
-        return (full,)
-
-    return Tensor(out, (a,), vjp, _where="slice_rows")
+slice_last = _slicer("slice", lambda s: (Ellipsis, s))  # along the last axis
+slice_rows = _slicer("slice_rows", lambda s: s)  # along the leading axis
 
 
 def tile_rows(a, n):

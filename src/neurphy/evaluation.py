@@ -63,7 +63,11 @@ def _poly_features(x, degree):
 
 
 def fit_poly_r2(features, target, degree, name=""):
-    """In-sample R^2 of an OLS polynomial fit (normal equations, tiny ridge)."""
+    """In-sample R^2 of an OLS polynomial fit with a tiny ridge.
+
+    The ridge enters as extra rows under X, so lstsq never forms X^T X, whose
+    condition number is the square of X's.
+    """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     features = np.asarray(features, dtype=np.float64)
@@ -72,11 +76,11 @@ def fit_poly_r2(features, target, degree, name=""):
     if ss_tot == 0.0:
         raise DegenerateTargetError(f"target {name!r} has zero variance")
     X = _poly_features(features, degree)
-    if X.shape[0] < X.shape[1] + 1:
-        raise UnderdeterminedFitError(
-            f"need at least {X.shape[1] + 1} samples, got {X.shape[0]}")
-    gram = X.T @ X + 1e-8 * np.eye(X.shape[1])
-    beta = np.linalg.solve(gram, X.T @ target)
+    k = X.shape[1]
+    if X.shape[0] < k + 1:
+        raise UnderdeterminedFitError(f"need at least {k + 1} samples, got {X.shape[0]}")
+    beta = np.linalg.lstsq(np.vstack([X, 1e-4 * np.eye(k)]),
+                           np.concatenate([target, np.zeros(k)]), rcond=None)[0]
     ss_res = float(np.sum((target - X @ beta) ** 2))
     return R2Report(target=name, degree=degree, r2=1.0 - ss_res / ss_tot)
 

@@ -126,12 +126,13 @@ def gaussian_obs_nll(x, mean, sigma_obs):
 
 
 class Adam:
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-8
+
+    def __init__(self, params, lr=0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = {name: np.zeros_like(p.value) for name, p in self.params}
         self.v = {name: np.zeros_like(p.value) for name, p in self.params}
@@ -142,7 +143,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name, p in self.params:
             g = p.grad
             if g is None:
@@ -153,4 +154,4 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             m_hat = self.m[name] / (1.0 - b1 ** self.t)
             v_hat = self.v[name] / (1.0 - b2 ** self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)

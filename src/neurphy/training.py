@@ -210,10 +210,7 @@ def train(tasks, cfg, model=None, checkpoint_path=None, on_epoch=None):
 
 def write_metrics_csv(history, D, path):
     header = ["epoch", "recon"] + [f"kl{d}" for d in range(1, D + 1)] + ["total"]
-    rows = []
-    for epoch, br in enumerate(history):
-        kl = br.kl + [0.0] * (D - len(br.kl))
-        rows.append([epoch, br.recon, *kl, br.total])
+    rows = [[epoch, br.recon, *br.kl, br.total] for epoch, br in enumerate(history)]
     write_csv(path, header, rows)
 
 

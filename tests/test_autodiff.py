@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,9 +36,20 @@ def test_matmul_shape_mismatch():
         ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
 
 
-def test_nonfinite_raises():
-    with pytest.raises(NonFiniteError):
-        ad.log(Tensor([0.0]))  # log 0 = -inf
+NONFINITE = {
+    "log": lambda: ad.log(Tensor([0.0])),
+    "exp": lambda: ad.exp(Tensor([1000.0])),
+    "div": lambda: ad.div(Tensor([1.0]), Tensor([0.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONFINITE))
+def test_nonfinite_raises(name):
+    # The message is what the CLI prints on exit 4; no numpy warning comes first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=f"^non-finite values in {name}$"):
+            NONFINITE[name]()
 
 
 def test_backward_sum_of_squares():
@@ -172,6 +189,14 @@ def test_linear_shape_mismatch():
                   "identity")
 
 
+def test_linear_rejects_unfused_activation():
+    # square's rule reads the pre-activation, which linear does not keep
+    for activation in ("square", "softmax"):
+        with pytest.raises(ValueError, match="cannot fuse"):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(2)),
+                      activation)
+
+
 def test_tile_rows_grad():
     def f(t):
         return ad.tsum(ad.square(ad.tile_rows(t, 4)))
@@ -225,3 +250,18 @@ def test_two_layer_mlp_gradcheck():
     for seed in range(20):
         x = np.random.default_rng(seed).normal(size=(2, 3))
         assert grad_check(f, x, eps=1e-5) < 1e-4
+
+
+def test_tracer_patches_every_name():
+    # perfbench's --trace 1 looks up each primitive it patches by name, so a
+    # renamed primitive would crash traced runs. A fresh interpreter keeps the
+    # patches out of the other tests.
+    root = Path(__file__).resolve().parents[1]
+    code = ("import tracer; from neurphy import autodiff as ad\n"
+            "t = tracer.Tracer(); tracer.install(t); ad.add(1.0, 2.0)\n"
+            "assert t.counts['autodiff.add.calls'] == 1, t.counts\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

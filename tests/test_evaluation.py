@@ -32,9 +32,10 @@ def test_r2_exact_linear_target():
     assert abs(fit_poly_r2(x, y, 1).r2 - 1.0) < 1e-9
 
 
-def test_r2_exact_quadratic_target():
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_r2_exact_quadratic_target(offset):
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(60, 3))
+    x = rng.normal(size=(60, 3)) + offset
     y = x[:, 0] * x[:, 1] - x[:, 2] ** 2 + 0.3 * x[:, 1] - 1.0
     assert abs(fit_poly_r2(x, y, 2).r2 - 1.0) < 1e-9
 
