@@ -8,8 +8,15 @@ Each derivative is written once. _ELEMENTWISE holds the forward and the vjp
 of every element-wise function; _elementwise turns an entry into a primitive
 and linear fuses one with the affine map. The broadcasting binary ops come
 from _broadcasting, tsum/tmean from _reduction and slice_last/slice_rows from
-_slicer; scale, matmul, concat and tile_rows are written out.
+_slicer; scale, matmul, concat, tile_rows, take_rows and segment_sum are
+written out.
+
+Under no_grad() the graph is not recorded: a new Tensor keeps no parents and
+no vjp, so intermediates are freed as soon as nothing references them.
 """
+
+import contextlib
+import contextvars
 
 import numpy as np
 
@@ -30,11 +37,27 @@ class NonScalarRootError(AutodiffError):
     pass
 
 
+_recording = contextvars.ContextVar("recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only mode, as a context manager or a decorator: Tensors made
+    inside it record no parents and no vjp, so backward() through them reaches
+    nothing. Values and the finiteness check are unchanged."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 class Tensor:
     """Graph node: a float64 array plus the vjp closure linking it to its parents.
 
     Leaves (no parents) accumulate gradients into .grad during backward();
-    interior nodes keep theirs only transiently.
+    interior nodes keep theirs only transiently. Under no_grad() every new
+    Tensor is a leaf.
     """
 
     __slots__ = ("value", "parents", "_vjp", "grad")
@@ -44,8 +67,10 @@ class Tensor:
         if not np.all(np.isfinite(v)):
             raise NonFiniteError(f"non-finite values in {_where}")
         self.value = v
-        self.parents = tuple(parents)
-        self._vjp = vjp
+        if _recording.get():
+            self.parents, self._vjp = tuple(parents), vjp
+        else:
+            self.parents, self._vjp = (), None
         self.grad = None
 
     @property
@@ -257,6 +282,36 @@ def tile_rows(a, n):
         return (g.sum(axis=0),)
 
     return Tensor(out, (a,), vjp, _where="tile_rows")
+
+
+def take_rows(a, index):
+    """a[index] along the leading axis; rows may repeat, and the vjp sums the
+    gradients of every copy of a row."""
+    a = as_tensor(a)
+    index = np.asarray(index, dtype=np.intp)
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        np.add.at(full, index, g)
+        return (full,)
+
+    return Tensor(a.value[index], (a,), vjp, _where="take_rows")
+
+
+def segment_sum(a, sizes):
+    """Row i is the sum over axis 0 of the next sizes[i] rows of a, summed as
+    tsum(axis=0) sums them."""
+    a = as_tensor(a)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    if bounds[-1] != a.value.shape[0] or np.any(sizes < 1):
+        raise ShapeMismatchError(f"segment_sum of {a.shape} into segments {sizes.tolist()}")
+    out = np.stack([a.value[lo:hi].sum(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+    def vjp(g):
+        return (np.repeat(g, sizes, axis=0),)
+
+    return Tensor(out, (a,), vjp, _where="segment_sum")
 
 
 def _toposort(root):

@@ -1,18 +1,34 @@
 """Quantitative evaluation: polynomial R^2 fits of learned representations,
-per-overshoot rollout MSE tables, KL reports, and manifold CSV exports."""
+per-overshoot rollout MSE tables, KL reports, and manifold CSV exports.
+
+Every readout is forward-only (autodiff.no_grad) and runs over the stage's
+tasks in chunks: each network is called once per chunk (the transition once
+per step), not once per task.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .artifacts import write_csv
 from .autodiff import Tensor
+from .model import ContextBatch
 from .physics import select_contexts, split_meta
-from .training import elbo_loss, split_frames
+from .training import overshoot, split_frames
+
+# Cap on a chunk's rows: the sum over its tasks of each task's largest network
+# input, which bounds every network input of the chunk. It keeps the
+# activations of one call to about a megabyte per hidden layer.
+CHUNK_ROWS = 1024
 
 
 class DegenerateTargetError(Exception):
     pass
+
+
+class NoScoredFramesError(ValueError):
+    """An evaluation stage whose tasks have no frame to score."""
 
 
 class UnderdeterminedFitError(ValueError):
@@ -109,6 +125,48 @@ def stage_frames(task, stage, D, fraction, seed):
             "all": np.arange(D + 1, task.length)}[STAGES[stage].frames]
 
 
+def _chunks(items, rows):
+    """Consecutive runs of items whose rows(item) add up to at most CHUNK_ROWS;
+    an item over the cap is a run of its own."""
+    chunk, total = [], 0
+    for item in items:
+        n = rows(item)
+        if chunk and total + n > CHUNK_ROWS:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += n
+    if chunk:
+        yield chunk
+
+
+def _scored(tasks, stage, D, fraction, seed):
+    """(task, frames) for every task in which the stage scores frames."""
+    if not tasks:
+        raise ValueError("need at least one task")
+    scored = [(task, frames) for task in tasks
+              if (frames := stage_frames(task, stage, D, fraction, seed)).size]
+    if not scored:
+        raise NoScoredFramesError(f"stage {stage!r} scores no frames in its {len(tasks)} "
+                                  f"tasks at D={D}")
+    return scored
+
+
+def _stack(tasks, frames):
+    """The tasks' observations stacked, and each task's frame indices, in
+    order, as rows of the stack."""
+    offsets = np.cumsum([0] + [task.length for task in tasks[:-1]])
+    return (np.concatenate([task.observations for task in tasks]),
+            np.concatenate([offset + f for offset, f in zip(offsets, frames)]))
+
+
+def _encode(model, tasks, stage, n_c, seed):
+    """Each task's r_c, one row per task, from one context-encoder call."""
+    return model.encode_context(ContextBatch.of(
+        [context_for_stage(task, stage, n_c, seed) for task in tasks]))
+
+
+@ad.no_grad()
 def rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
     """MSE of predicting x_t from the frame pair d steps back, for d = 0..D.
 
@@ -117,61 +175,72 @@ def rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
     start frame t-d is recognized and rolled D steps once, and distance d is
     read at step d of its chain.
     """
-    if not tasks:
-        raise ValueError("need at least one task")
     sq_sums = np.zeros(D + 1)
     counts = np.zeros(D + 1)
-    for task in tasks:
-        frames = stage_frames(task, stage, D, fraction, seed)
-        if frames.size == 0:
-            continue
-        ctx = context_for_stage(task, stage, n_c, seed)
-        r_c = model.encode_context(ctx)
-        obs = task.observations
-        starts = np.unique(frames[None, :] - np.arange(D + 1)[:, None])
-        z = model.recognize(np.concatenate([obs[starts - 1], obs[starts]], axis=1)).mean
+    for chunk in _chunks(_scored(tasks, stage, D, fraction, seed),
+                         lambda item: max(n_c, (D + 1) * item[1].size)):
+        chunk_tasks = [task for task, _ in chunk]
+        starts = [np.unique(frames[None, :] - np.arange(D + 1)[:, None]) for _, frames in chunk]
+        obs, rows = _stack(chunk_tasks, starts)
+        z = model.recognize(np.concatenate([obs[rows - 1], obs[rows]], axis=1)).mean
         latents = [z.value]
         if D >= 1:
-            dists, _ = model.rollout(z, r_c, D, mode="mean")
+            r_c = _encode(model, chunk_tasks, stage, n_c, seed)
+            owner = np.repeat(np.arange(len(chunk)), [s.size for s in starts])
+            dists, _ = model.rollout(z, ad.take_rows(r_c, owner), D, mode="mean")
             latents.extend(dist.mean.value for dist in dists)
-        pred = model.decode(Tensor(np.concatenate(latents))).value
-        pred = pred.reshape(D + 1, starts.size, -1)
-        for d in range(D + 1):
-            err = pred[d, np.searchsorted(starts, frames - d)] - obs[frames]
-            sq_sums[d] += float(np.sum(err ** 2))
-            counts[d] += err.size
+        # decode only what is scored: distance d of frame t, at step d of t-d's chain
+        first = np.cumsum([0] + [s.size for s in starts[:-1]])
+        read = [np.concatenate([lo + np.searchsorted(s, frames - d)
+                                for lo, s, (_, frames) in zip(first, starts, chunk)])
+                for d in range(D + 1)]
+        pred = model.decode(Tensor(np.concatenate([latent[r] for latent, r in zip(latents, read)])))
+        pred = pred.value.reshape(D + 1, read[0].size, -1)
+        lo = 0
+        for task, frames in chunk:
+            for d in range(D + 1):
+                err = pred[d, lo:lo + frames.size] - task.observations[frames]
+                sq_sums[d] += float(np.sum(err ** 2))
+                counts[d] += err.size
+            lo += frames.size
     return MseTable(stage=stage, mse=list(sq_sums / counts))
 
 
+@ad.no_grad()
 def kl_report(model, tasks, stage, cfg, seed=0):
-    """Mean unweighted KL per overshoot distance, via the training loss machinery."""
-    if not tasks:
-        raise ValueError("need at least one task")
+    """Mean unweighted KL per overshoot distance: training's overshoot
+    schedule over chunks of tasks, with the noise elbo_loss would draw task
+    by task."""
+    scored = _scored(tasks, stage, cfg.D, cfg.target_fraction, seed)
     rng = np.random.default_rng(seed)
     n_c = stage_n_c(stage, cfg.n_c)
     kls = []
-    for task in tasks:
-        frames = stage_frames(task, stage, cfg.D, cfg.target_fraction, seed)
-        if frames.size == 0:
-            continue
-        ctx = context_for_stage(task, stage, n_c, seed)
-        _, br = elbo_loss(model, task, ctx, frames, cfg, rng)
-        kls.append(br.kl)
+    for chunk in _chunks(scored, lambda item: max(n_c, (cfg.D + 1) * item[1].size)):
+        chunk_tasks = [task for task, _ in chunk]
+        sizes = [frames.size for _, frames in chunk]
+        obs, targets = _stack(chunk_tasks, [frames for _, frames in chunk])
+        r_c = _encode(model, chunk_tasks, stage, n_c, seed)
+        _, kl_rows = overshoot(model, obs, targets, r_c, cfg, rng, sizes)
+        bounds = np.cumsum([0, *sizes])
+        # each task's mean over its own rows, as elbo_loss's tmean takes it
+        kls.extend([float(kl.value[lo:hi].mean()) for kl in kl_rows]
+                   for lo, hi in zip(bounds[:-1], bounds[1:]))
     return list(np.mean(np.asarray(kls), axis=0))
 
 
+@ad.no_grad()
 def export_manifold(model, tasks, global_path, state_path, n_c=20, seed=0,
                     stage="training"):
     """Write one CSV row per task (r_c + true globals) and one per frame
     (recognized z mean + true state)."""
     global_keys = list(tasks[0].globals.keys())
     r_cs, zs = [], []
-    for task in tasks:
-        ctx = context_for_stage(task, stage, n_c, seed)
-        r_cs.append(model.encode_context(ctx).value)
-        obs = task.observations
-        pairs = np.concatenate([obs[:-1], obs[1:]], axis=1)
-        zs.append(model.recognize(pairs).mean.value)
+    for chunk in _chunks(tasks, lambda task: max(n_c, task.length - 1)):
+        r_cs.extend(_encode(model, chunk, stage, n_c, seed).value)
+        pairs = np.concatenate([np.concatenate([task.observations[:-1], task.observations[1:]],
+                                               axis=1) for task in chunk])
+        z = model.recognize(pairs).mean.value
+        zs.extend(np.split(z, np.cumsum([task.length - 1 for task in chunk])[:-1]))
     write_csv(global_path, [f"r_c_{i}" for i in range(model.cfg.dim_r)] + global_keys,
               ([*r_c, *(task.globals[k] for k in global_keys)]
                for r_c, task in zip(r_cs, tasks)))
@@ -181,15 +250,15 @@ def export_manifold(model, tasks, global_path, state_path, n_c=20, seed=0,
                for task, z in zip(tasks, zs) for t in range(1, task.length)))
 
 
+@ad.no_grad()
 def global_r2_table(model, tasks, n_c=20, seed=0, stage="training"):
     """R^2 of r_c against every ground-truth global, degrees 1 and 2.
 
     Targets with zero variance and fits with too few tasks for their
     coefficients are left out.
     """
-    features = np.stack([
-        model.encode_context(context_for_stage(task, stage, n_c, seed)).value
-        for task in tasks])
+    features = np.concatenate([_encode(model, chunk, stage, n_c, seed).value
+                               for chunk in _chunks(tasks, lambda task: n_c)])
     reports = []
     for key in tasks[0].globals.keys():
         target = np.array([task.globals[key] for task in tasks])

@@ -34,6 +34,20 @@ class ModelConfig:
     decoder_widths: list = field(default_factory=lambda: [16, 64, 128, 128])
 
 
+@dataclass(frozen=True)
+class ContextBatch:
+    """The context sets of several tasks: their pairs stacked in task order,
+    sizes[i] of them task i's."""
+
+    pairs: np.ndarray
+    sizes: tuple
+
+    @classmethod
+    def of(cls, ctxs):
+        return cls(np.concatenate([ctx.pairs for ctx in ctxs]),
+                   tuple(ctx.n_c for ctx in ctxs))
+
+
 class NeurPhyModel:
     def __init__(self, cfg, rng):
         self.cfg = cfg
@@ -60,20 +74,34 @@ class NeurPhyModel:
                 + self.decoder.parameters())
 
     def encode_context(self, ctx):
-        """Mean-aggregate per-pair encodings into r_c.
+        """Mean-aggregate per-pair encodings into r_c: shape (dim_r,) for a
+        ContextSet, and one row per set for a ContextBatch.
 
-        The mean is taken over the sorted unique pairs weighted by their
-        multiplicities, so the result is bit-identical under permutation of
-        the context set and under duplicating the whole set (batched matmul
-        rounding would otherwise differ with the row count).
+        Each set's mean is taken over its sorted unique pairs weighted by their
+        multiplicities, so its r_c is bit-identical under permutation of the
+        set and under duplicating the whole set (batched matmul rounding would
+        otherwise differ with the row count). A batch makes one encoder call
+        over the unique pairs of all its sets.
         """
         pairs = np.asarray(ctx.pairs, dtype=np.float64)
-        if pairs.ndim != 2 or pairs.shape[0] < 1:
+        batch = isinstance(ctx, ContextBatch)
+        sizes = np.asarray(ctx.sizes if batch else [pairs.shape[0]])
+        if pairs.ndim != 2 or np.any(sizes < 1):
             raise EmptyContextError("context set must contain at least one pair")
-        unique, counts = np.unique(pairs, axis=0, return_counts=True)
-        weights = counts[:, None] / pairs.shape[0]
-        codes = self.context_encoder(Tensor(unique))
-        return ad.tsum(ad.mul(codes, Tensor(weights)), axis=0)
+        # each set's unique pairs in the order np.unique(axis=0) gives them
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        order = np.lexsort((*pairs.T[::-1], owner))
+        pairs, owner = pairs[order], owner[order]
+        first = np.ones(pairs.shape[0], dtype=bool)
+        first[1:] = np.any(pairs[1:] != pairs[:-1], axis=1) | (owner[1:] != owner[:-1])
+        starts = np.flatnonzero(first)
+        counts = np.diff(np.append(starts, pairs.shape[0]))
+        owner = owner[starts]
+        codes = self.context_encoder(Tensor(pairs[starts]))
+        weighted = ad.mul(codes, Tensor((counts / sizes[owner])[:, None]))
+        if batch:
+            return ad.segment_sum(weighted, np.bincount(owner, minlength=sizes.size))
+        return ad.tsum(weighted, axis=0)
 
     def recognize(self, x_pairs):
         """q(z_t | x_{t-1:t}) for a batch of stacked consecutive frames."""
@@ -83,9 +111,11 @@ class NeurPhyModel:
         return self.recognition_head(self.recognition_mlp(Tensor(x_pairs)))
 
     def transition(self, z, r_c):
-        """p(z_t | z_{t-1}, r_c); z is (B, dim_z), r_c a 1-D tensor."""
-        h = self.transition_mlp(ad.concat([z, ad.tile_rows(r_c, z.value.shape[0])]))
-        return self.transition_head(h)
+        """p(z_t | z_{t-1}, r_c); z is (B, dim_z). r_c is one task's 1-D r_c,
+        shared by every row, or (B, dim_r), one row per row of z."""
+        if r_c.value.ndim == 1:
+            r_c = ad.tile_rows(r_c, z.value.shape[0])
+        return self.transition_head(self.transition_mlp(ad.concat([z, r_c])))
 
     def decode(self, z):
         """Observation mean; identity output since coordinates are unbounded."""
@@ -108,18 +138,19 @@ class NeurPhyModel:
                 raise ValueError(f"unknown rollout mode {mode!r}")
         return dists, z
 
+    @ad.no_grad()
     def predict_observations(self, task, ctx, start_t, horizon):
         """Deterministic readout: recognize at start_t, roll the mean forward,
-        decode every latent mean. Returns (horizon+1, obs_dim) predictions
-        for frames start_t .. start_t+horizon."""
-        if start_t < 1 or start_t + horizon > task.length - 1:
+        decode every latent mean in one call. Returns (horizon+1, obs_dim)
+        predictions for frames start_t .. start_t+horizon."""
+        if horizon < 0 or start_t < 1 or start_t + horizon > task.length - 1:
             raise OutOfRangeError(f"window [{start_t}, {start_t + horizon}] "
                                   f"outside task of length {task.length}")
         r_c = self.encode_context(ctx)
         pair = np.concatenate([task.observations[start_t - 1], task.observations[start_t]])
         z = self.recognize(pair[None, :]).mean
-        latents = [z]
+        latents = [z.value]
         if horizon >= 1:
             dists, _ = self.rollout(z, r_c, horizon, mode="mean")
-            latents.extend(d.mean for d in dists)
-        return np.stack([self.decode(z).value[0] for z in latents])
+            latents.extend(d.mean.value for d in dists)
+        return self.decode(Tensor(np.concatenate(latents))).value

@@ -101,53 +101,86 @@ def _rows(g, start, stop):
     return DiagGaussian(ad.slice_rows(g.mean, start, stop), ad.slice_rows(g.std, start, stop))
 
 
-def elbo_loss(model, task, ctx, targets, cfg, rng):
-    """Reconstruction NLL plus per-overshoot latent KL terms, averaged over targets.
+def _draw_noise(rng, sizes, D, dim_z):
+    """The reparameterization noise of the overshoot schedule.
+
+    Each task's draws come in the order and shapes of the per-d loop: q_now's,
+    then per d the recognized draw and its d-1 step draws; task i draws
+    sizes[i] rows, after task i-1. Returns the noise of the recognize rows,
+    and per step k < D the noise of the chains d = D..k+1 that it carries.
+    """
+    starts, steps = [], []
+    for n in sizes:
+        shape = (n, dim_z)
+        start, step = [rng.standard_normal(shape)], {}
+        for d in range(1, D + 1):
+            start.append(rng.standard_normal(shape))
+            for k in range(1, d):
+                step[d, k] = rng.standard_normal(shape)
+        starts.append(start)
+        steps.append(step)
+    recognized = np.concatenate([start[d] for d in (0, *range(D, 0, -1)) for start in starts])
+    carried = [np.concatenate([step[d, k] for d in range(D, k, -1) for step in steps])
+               for k in range(1, D)]
+    return recognized, carried
+
+
+def overshoot(model, obs, targets, r_c, cfg, rng, sizes=None):
+    """The triangular overshoot schedule over the target frames of one or more
+    tasks (single-sample Monte Carlo throughout).
 
     For each overshoot d, z is recognized d steps back, carried forward by d-1
     sampled transitions, and one more transition gives the prior that the
-    current posterior is matched against (single-sample Monte Carlo throughout).
+    current posterior is matched against.
 
-    All overshoots share one graph. One recognize call covers the N targets'
-    pairs for d = 0, D, D-1, ..., 1, one contiguous block of N rows each. At
-    transition step k = 1..D the rows of every d >= k advance together: the
-    last block (d = k) is that step's prior and the rest are carried forward.
-    The noise is drawn in the order and shapes of the per-d loop (q_now, then
-    per d the recognized draw and its d-1 step draws), so this equals that
-    loop up to rounding.
+    obs stacks the tasks' observations, and targets indexes its rows task by
+    task, sizes[i] of them task i's. r_c has one row per task; with sizes
+    None, all targets are one task's and r_c is that task's 1-D r_c.
+
+    One recognize call covers the N targets' pairs for d = 0, D, D-1, ..., 1,
+    one contiguous block of N rows each. At transition step k = 1..D the rows
+    of every d >= k advance together: the last block (d = k) is that step's
+    prior and the rest are carried forward. The noise is drawn task by task in
+    the order and shapes of the per-d loop, so this equals that loop up to
+    rounding.
+
+    Returns (z_now, kl_rows): the posterior sample at the targets, and per d
+    the unweighted KL of every target row.
+    """
+    n, D = targets.size, cfg.D
+    recognized_noise, carried_noise = _draw_noise(rng, sizes or [n], D, model.cfg.dim_z)
+    owner = None if sizes is None else np.repeat(np.arange(len(sizes)), sizes)
+
+    back = np.concatenate([targets[None, :], targets - np.arange(D, 0, -1)[:, None]]).ravel()
+    q_all = model.recognize(np.concatenate([obs[back - 1], obs[back]], axis=1))
+    z_all = reparameterize(q_all, recognized_noise)
+    q_now = _rows(q_all, 0, n)
+
+    kl_rows = []
+    z = ad.slice_rows(z_all, n, (D + 1) * n)  # chains d = D..1
+    for k in range(1, D + 1):
+        # one task's r_c serves every row; a chunk's is repeated per chain block
+        rows = r_c if owner is None else ad.take_rows(r_c, np.tile(owner, D - k + 1))
+        dist = model.transition(z, rows)
+        carried = (D - k) * n  # rows of chains d = D..k+1
+        kl_rows.append(kl_diag_gauss(q_now, _rows(dist, carried, carried + n)))
+        if k < D:
+            z = reparameterize(_rows(dist, 0, carried), carried_noise[k - 1])
+    return ad.slice_rows(z_all, 0, n), kl_rows
+
+
+def elbo_loss(model, task, ctx, targets, cfg, rng):
+    """Reconstruction NLL plus per-overshoot latent KL terms, averaged over
+    targets: the overshoot schedule on one task, as one graph.
 
     Returns (total Tensor for backward, LossBreakdown with unweighted KLs).
     """
     targets = np.asarray(targets)
     obs = task.observations
-    n, D = targets.size, cfg.D
     r_c = model.encode_context(ctx)
-
-    shape = (n, model.cfg.dim_z)
-    start_noise = [rng.standard_normal(shape)]
-    step_noise = {}  # (d, k) -> noise of chain d's k-th sampled transition
-    for d in range(1, D + 1):
-        start_noise.append(rng.standard_normal(shape))
-        for k in range(1, d):
-            step_noise[d, k] = rng.standard_normal(shape)
-
-    back = np.concatenate([targets[None, :], targets - np.arange(D, 0, -1)[:, None]]).ravel()
-    q_all = model.recognize(np.concatenate([obs[back - 1], obs[back]], axis=1))
-    noise = np.concatenate([start_noise[0], *reversed(start_noise[1:])])
-    z_all = reparameterize(q_all, noise)
-    q_now = _rows(q_all, 0, n)
-    z_now = ad.slice_rows(z_all, 0, n)
+    z_now, kl_rows = overshoot(model, obs, targets, r_c, cfg, rng)
     recon = ad.tmean(gaussian_obs_nll(obs[targets], model.decode(z_now), cfg.sigma_obs))
-
-    kl_terms = []
-    z = ad.slice_rows(z_all, n, (D + 1) * n)  # chains d = D..1
-    for k in range(1, D + 1):
-        dist = model.transition(z, r_c)
-        carried = (D - k) * n  # rows of chains d = D..k+1
-        kl_terms.append(ad.tmean(kl_diag_gauss(q_now, _rows(dist, carried, carried + n))))
-        if k < D:
-            z = reparameterize(_rows(dist, 0, carried),
-                               np.concatenate([step_noise[d, k] for d in range(D, k, -1)]))
+    kl_terms = [ad.tmean(kl) for kl in kl_rows]
 
     total = recon
     for d, kl_d in enumerate(kl_terms):

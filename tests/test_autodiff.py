@@ -110,6 +110,9 @@ PRIMITIVES = {
     "sum_axis": lambda t: ad.tsum(ad.square(ad.tsum(t, axis=-1))),
     "concat": lambda t: ad.tsum(ad.square(ad.concat([t, ad.scale(t, 2.0)]))),
     "slice": lambda t: ad.tsum(ad.square(ad.slice_last(t, 1, 3))),
+    "take_rows": lambda t: ad.tsum(ad.square(ad.take_rows(t, [1, 0, 1, 1]))),
+    "segment_sum": lambda t: ad.tsum(ad.square(ad.segment_sum(
+        ad.take_rows(t, [0, 1, 1, 0, 1]), [2, 3]))),
 }
 
 
@@ -195,6 +198,73 @@ def test_linear_rejects_unfused_activation():
         with pytest.raises(ValueError, match="cannot fuse"):
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(2)),
                       activation)
+
+
+def test_segment_sum_sums_as_tsum_does():
+    a = np.random.default_rng(3).normal(size=(12, 3)) * 1e3
+    out = ad.segment_sum(Tensor(a), [5, 1, 6]).value
+    for row, (lo, hi) in zip(out, [(0, 5), (5, 6), (6, 12)]):
+        assert np.array_equal(row, ad.tsum(Tensor(a[lo:hi]), axis=0).value)
+    for sizes in ([5, 6], [12, 0], [13]):
+        with pytest.raises(ShapeMismatchError):
+            ad.segment_sum(Tensor(a), sizes)
+
+
+def test_no_grad_records_nothing():
+    x = Tensor(np.array([[0.5, -1.0]]))
+    with ad.no_grad():
+        y = ad.tsum(ad.tanh(ad.mul(x, x)))
+    assert y.parents == () and y._vjp is None
+    backward(y)
+    assert x.grad is None
+    z = ad.tsum(ad.tanh(ad.mul(x, x)))  # recording again
+    assert z.parents and z.value == y.value
+
+
+def test_no_grad_nests_and_restores_on_error():
+    x = Tensor([1.0])
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad.square(x).parents == ()
+        assert ad.square(x).parents == ()
+    assert ad.square(x).parents == (x,)
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    assert ad.square(x).parents == (x,)
+
+    @ad.no_grad()
+    def decorated():
+        return ad.square(x)
+
+    assert decorated().parents == ()
+    assert ad.square(x).parents == (x,)
+
+
+def test_no_grad_keeps_finiteness_check():
+    with ad.no_grad():
+        with pytest.raises(NonFiniteError, match="^non-finite values in log$"):
+            ad.log(Tensor([0.0]))
+    assert ad.square(Tensor([1.0])).parents
+
+
+def test_no_grad_leaves_parameter_grads_none():
+    from neurphy.model import ModelConfig, NeurPhyModel
+    from neurphy.physics import PendulumParams, pendulum_trajectory, select_contexts
+    from neurphy.training import TrainConfig, elbo_loss
+
+    cfg = TrainConfig(D=2, model=ModelConfig(dim_z=2, dim_r=2, context_widths=[8],
+                                             recognition_widths=[8, 8],
+                                             transition_widths=[8, 8],
+                                             decoder_widths=[8]))
+    model = NeurPhyModel(cfg.model, np.random.default_rng(0))
+    task = pendulum_trajectory(PendulumParams(), 12)
+    ctx = select_contexts(task, 3, "train_random", seed=1)
+    with ad.no_grad():
+        total, _ = elbo_loss(model, task, ctx, np.arange(3, 12), cfg,
+                             np.random.default_rng(2))
+    backward(total)
+    assert all(p.grad is None for _, p in model.parameters())
 
 
 def test_tile_rows_grad():

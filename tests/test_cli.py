@@ -148,6 +148,30 @@ def test_rollout_out_of_range(rundir, tmp_path):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("start,horizon", [("10", "-5"), ("3", "-1")])
+def test_rollout_rejects_bad_window(rundir, tmp_path, start, horizon):
+    out = tmp_path / "x.csv"
+    rc = run(["rollout", "--run", str(rundir), "--task", "0", "--start", start,
+              "--horizon", horizon, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_eval_stage_without_frames_is_usage_error(tmp_path, capsys):
+    # T=3 at D=1 leaves one eligible frame per task; the target split takes it
+    data = tmp_path / "pend.jsonl"
+    assert run(["generate", "--system", "pendulum", "--out", str(data),
+                "--l", "1:3:3", "--m", "1:4:4", "--T", "3"]) == 0
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "1",
+                "--n-c", "2", "--epochs", "1"]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--run", str(out), "--stage", "test"]) == EXIT_USAGE
+    assert "stage 'test' scores no frames" in capsys.readouterr().err
+    assert not any(out.glob("*_test.csv"))
+    assert run(["eval", "--run", str(out), "--stage", "training"]) == 0
+
+
 def test_plot_rollout_and_metrics_deterministic(rundir, tmp_path):
     roll = tmp_path / "roll.csv"
     assert run(["rollout", "--run", str(rundir), "--task", "0",

@@ -3,7 +3,8 @@ import pytest
 
 from neurphy import autodiff as ad
 from neurphy.autodiff import Tensor, backward, grad_check
-from neurphy.model import EmptyContextError, ModelConfig, NeurPhyModel, OutOfRangeError
+from neurphy.model import (ContextBatch, EmptyContextError, ModelConfig, NeurPhyModel,
+                           OutOfRangeError)
 from neurphy.physics import ContextSet, PendulumParams, pendulum_trajectory, select_contexts
 
 
@@ -50,6 +51,23 @@ def test_encode_context_duplicate_pair(model):
 def test_encode_context_empty_raises(model):
     with pytest.raises(EmptyContextError):
         model.encode_context(_ctx_from_pairs(np.zeros((0, 4))))
+
+
+def test_encode_context_batch_rows_match_single_sets(model):
+    rng = np.random.default_rng(3)
+    sets = [rng.normal(size=(n, 4)) for n in (5, 1, 7)]
+    sets[2][3] = sets[2][0]  # a duplicated pair
+    batch = model.encode_context(ContextBatch.of([_ctx_from_pairs(p) for p in sets]))
+    assert batch.value.shape == (3, 2)
+    for row, pairs in zip(batch.value, sets):
+        single = model.encode_context(_ctx_from_pairs(pairs)).value
+        assert np.max(np.abs(row - single)) <= 1e-15 * np.max(np.abs(single))
+    shuffled = [sets[0][::-1], sets[1], np.concatenate([sets[2], sets[2]])]
+    again = model.encode_context(ContextBatch.of([_ctx_from_pairs(p) for p in shuffled]))
+    assert np.array_equal(batch.value, again.value)
+    with pytest.raises(EmptyContextError):
+        model.encode_context(ContextBatch.of([_ctx_from_pairs(sets[0]),
+                                              _ctx_from_pairs(np.zeros((0, 4)))]))
 
 
 def test_recognize_output_contract(model):
@@ -154,6 +172,19 @@ def test_predict_observations_lengths(model):
         model.predict_observations(task, ctx, 0, 5)
     with pytest.raises(OutOfRangeError):
         model.predict_observations(task, ctx, 30, 50)
+    with pytest.raises(OutOfRangeError):
+        model.predict_observations(task, ctx, 10, -5)
+
+
+def test_predict_observations_matches_per_latent_decode(model):
+    task = pendulum_trajectory(PendulumParams(), 60)
+    ctx = select_contexts(task, 5, "train_random", seed=0)
+    pred = model.predict_observations(task, ctx, 5, 50)
+    pair = np.concatenate([task.observations[4], task.observations[5]])[None, :]
+    z = model.recognize(pair).mean
+    dists, _ = model.rollout(z, model.encode_context(ctx), 50, mode="mean")
+    want = np.stack([model.decode(t).value[0] for t in [z] + [d.mean for d in dists]])
+    assert np.max(np.abs(pred - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_full_loss_gradcheck_end_to_end():

@@ -1,12 +1,15 @@
-"""The batched overshoot schedule of elbo_loss and the shared mean chains of
-rollout_mse against the per-overshoot loops they replace, kept here as
-references."""
+"""The batched overshoot schedule of elbo_loss, and the task-batched
+evaluation readouts, against the per-overshoot and per-task loops they
+replace, kept here as references."""
 
 import numpy as np
 import pytest
 
 from neurphy import autodiff as ad
-from neurphy.evaluation import STAGES, context_for_stage, rollout_mse, stage_frames
+from neurphy import evaluation
+from neurphy.artifacts import write_csv
+from neurphy.evaluation import (STAGES, context_for_stage, export_manifold, global_r2_table,
+                                kl_report, rollout_mse, stage_frames, stage_n_c)
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.nn import gaussian_obs_nll, kl_diag_gauss, reparameterize
 from neurphy.physics import PendulumGridConfig, generate_task_grid, select_contexts
@@ -64,6 +67,48 @@ def loop_rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
     return list(sq_sums / counts)
 
 
+def loop_kl_report(model, tasks, stage, cfg, seed=0):
+    """Reference: one elbo_loss per task, all drawing from one generator."""
+    rng = np.random.default_rng(seed)
+    kls = []
+    for task in tasks:
+        frames = stage_frames(task, stage, cfg.D, cfg.target_fraction, seed)
+        if frames.size == 0:
+            continue
+        ctx = context_for_stage(task, stage, stage_n_c(stage, cfg.n_c), seed)
+        _, br = elbo_loss(model, task, ctx, frames, cfg, rng)
+        kls.append(br.kl)
+    return list(np.mean(np.asarray(kls), axis=0))
+
+
+def loop_r2_features(model, tasks, n_c, seed, stage):
+    """Reference: one encode_context call per task."""
+    return np.stack([model.encode_context(context_for_stage(task, stage, n_c, seed)).value
+                     for task in tasks])
+
+
+def loop_export_manifold(model, tasks, global_path, state_path, n_c, seed, stage):
+    """Reference: one encode_context and one recognize call per task."""
+    keys = list(tasks[0].globals.keys())
+    r_cs, zs = [], []
+    for task in tasks:
+        r_cs.append(model.encode_context(context_for_stage(task, stage, n_c, seed)).value)
+        obs = task.observations
+        zs.append(model.recognize(np.concatenate([obs[:-1], obs[1:]], axis=1)).mean.value)
+    write_csv(global_path, [f"r_c_{i}" for i in range(model.cfg.dim_r)] + keys,
+              ([*r_c, *(task.globals[k] for k in keys)] for r_c, task in zip(r_cs, tasks)))
+    write_csv(state_path, ["task_id"] + [f"z_{i}" for i in range(model.cfg.dim_z)]
+              + [f"state_{i}" for i in range(tasks[0].states.shape[1])],
+              ([task.task_id, *z[t - 1], *task.states[t]]
+               for task, z in zip(tasks, zs) for t in range(1, task.length)))
+
+
+def csv_numbers(path):
+    with open(path) as f:
+        header, *rows = f.read().split()
+    return header, np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
 def close(a, b):
     """Equal to within RTOL of the larger magnitude of the two arrays."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -112,7 +157,7 @@ def test_elbo_loss_matches_loop(tasks, D):
 
 
 @pytest.mark.parametrize("stage", sorted(STAGES))
-@pytest.mark.parametrize("D", [0, 3])
+@pytest.mark.parametrize("D", [0, 1, 3])
 def test_rollout_mse_matches_loop(tasks, stage, D):
     model = NeurPhyModel(ModelConfig(dim_z=3, dim_r=3), np.random.default_rng(2))
     n_c = 2 if stage == "metatest2" else 5
@@ -120,3 +165,67 @@ def test_rollout_mse_matches_loop(tasks, stage, D):
     want = loop_rollout_mse(model, tasks, stage, D, n_c=n_c, fraction=0.8, seed=4)
     assert len(table.mse) == D + 1
     assert close(table.mse, want)
+
+
+def stage_model(stage):
+    model = NeurPhyModel(ModelConfig(dim_z=3, dim_r=3), np.random.default_rng(2))
+    return model, 2 if stage == "metatest2" else 5
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+@pytest.mark.parametrize("D", [0, 1, 3])
+def test_kl_report_matches_loop(tasks, stage, D):
+    model, n_c = stage_model(stage)
+    cfg = TrainConfig(D=D, n_c=n_c, target_fraction=0.8, model=model.cfg)
+    got = kl_report(model, tasks, stage, cfg, seed=4)
+    want = loop_kl_report(model, tasks, stage, cfg, seed=4)
+    assert len(got) == D
+    assert close(got, want)
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_global_r2_features_match_loop(tasks, stage, monkeypatch):
+    model, n_c = stage_model(stage)
+    seen = []
+
+    def spy(features, target, degree, name=""):
+        seen.append(np.array(features))
+        return fit_poly_r2(features, target, degree, name)
+
+    fit_poly_r2 = evaluation.fit_poly_r2
+    monkeypatch.setattr(evaluation, "fit_poly_r2", spy)
+    assert global_r2_table(model, tasks, n_c=n_c, seed=4, stage=stage)
+    want = loop_r2_features(model, tasks, n_c, 4, stage)
+    assert seen and all(close(features, want) for features in seen)
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_export_manifold_matches_loop(tasks, stage, tmp_path):
+    model, n_c = stage_model(stage)
+    got = [tmp_path / "g.csv", tmp_path / "s.csv"]
+    want = [tmp_path / "g_loop.csv", tmp_path / "s_loop.csv"]
+    export_manifold(model, tasks, *got, n_c=n_c, seed=4, stage=stage)
+    loop_export_manifold(model, tasks, *want, n_c=n_c, seed=4, stage=stage)
+    for g, w in zip(got, want):
+        (g_header, g_rows), (w_header, w_rows) = csv_numbers(g), csv_numbers(w)
+        assert g_header == w_header and g_rows.shape == w_rows.shape
+        assert close(g_rows, w_rows)
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_chunk_boundaries_do_not_change_readouts(tasks, stage, tmp_path, monkeypatch):
+    model, n_c = stage_model(stage)
+    cfg = TrainConfig(D=3, n_c=n_c, target_fraction=0.8, model=model.cfg)
+
+    def readouts(tag):
+        paths = [tmp_path / f"g{tag}.csv", tmp_path / f"s{tag}.csv"]
+        export_manifold(model, tasks, *paths, n_c=n_c, seed=4, stage=stage)
+        return (rollout_mse(model, tasks, stage, cfg.D, n_c=n_c, fraction=0.8, seed=4).mse,
+                kl_report(model, tasks, stage, cfg, seed=4),
+                [r.r2 for r in global_r2_table(model, tasks, n_c=n_c, seed=4, stage=stage)],
+                *(csv_numbers(p)[1] for p in paths))
+
+    default = readouts("default")
+    monkeypatch.setattr(evaluation, "CHUNK_ROWS", 1)  # one task per chunk
+    for got, want in zip(readouts("one"), default):
+        assert close(got, want)
