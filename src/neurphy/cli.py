@@ -11,9 +11,11 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 from . import __version__
 from .artifacts import write_atomic, write_csv
+from .autodiff import NonFiniteError
 from .evaluation import (STAGES, export_manifold, global_r2_table, kl_report,
                          rollout_mse, stage_n_c, stage_tasks)
 from .model import ModelConfig, OutOfRangeError
@@ -22,7 +24,7 @@ from .physics import (OrbitGridConfig, PendulumGridConfig, PhysicsError,
                       select_contexts)
 from .svg import line_chart, scatter_chart
 from .training import (PAPER_SCALE, CheckpointError, TrainConfig, TrainDiverged,
-                       checkpoint_load, train, write_metrics_csv)
+                       checkpoint_load, split_frames, train, write_metrics_csv)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -124,6 +126,10 @@ def cmd_train(args):
         raise UsageError(f"epochs must be at least 1, got {cfg.epochs}")
     tasks = load_tasks_jsonl(args.data)
     meta_train = stage_tasks(tasks, "training", cfg.seed)
+    # training's draws, tried on the shortest task before the run dir exists
+    shortest = min(meta_train, key=lambda task: task.length)
+    select_contexts(shortest, cfg.n_c, "train_random", cfg.seed)
+    split_frames(shortest.length, cfg.D, cfg.target_fraction, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
     metrics = os.path.join(args.out, "metrics.csv")
@@ -131,12 +137,14 @@ def cmd_train(args):
           f"B={cfg.batch_tasks}, {cfg.epochs} epochs "
           f"(paper scale: {PAPER_SCALE['tasks']} tasks, "
           f"B={PAPER_SCALE['batch_tasks']}, {PAPER_SCALE['epochs']} epochs)")
+    started = time.perf_counter()
     try:
         model, history = train(meta_train, cfg, checkpoint_path=ckpt)
     except TrainDiverged as exc:
         write_metrics_csv(exc.history, cfg.D, metrics)
         print(f"training aborted on non-finite value: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    train_s = time.perf_counter() - started
     write_metrics_csv(history, cfg.D, metrics)
     manifest = {
         "tool_version": __version__,
@@ -151,7 +159,8 @@ def cmd_train(args):
     write_atomic(os.path.join(args.out, "manifest.json"),
                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"final loss {history[-1].total:.6g} "
-          f"(initial {history[0].total:.6g}); run dir {args.out}")
+          f"(initial {history[0].total:.6g}); trained in {train_s:.3g} s "
+          f"({len(meta_train) * cfg.epochs / train_s:.4g} tasks/s); run dir {args.out}")
     return 0
 
 
@@ -327,6 +336,9 @@ def main(argv=None):
     except (OSError, CheckpointError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NonFiniteError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 per-overshoot rollout MSE tables, KL reports, and manifold CSV exports.
 
 Every readout is forward-only (autodiff.no_grad) and runs over the stage's
-tasks in chunks: each network is called once per chunk (the transition once
-per step), not once per task.
+tasks in chunks, capped by training.CHUNK_ROWS as training's are: each network
+is called once per chunk (the transition once per step), not once per task.
 """
 
 from dataclasses import dataclass
@@ -15,12 +15,7 @@ from .artifacts import write_csv
 from .autodiff import Tensor
 from .model import ContextBatch
 from .physics import select_contexts, split_meta
-from .training import overshoot, split_frames
-
-# Cap on a chunk's rows: the sum over its tasks of each task's largest network
-# input, which bounds every network input of the chunk. It keeps the
-# activations of one call to about a megabyte per hidden layer.
-CHUNK_ROWS = 1024
+from .training import _chunks, _stack, draw_noise, overshoot, split_frames, task_means
 
 
 class DegenerateTargetError(Exception):
@@ -125,21 +120,6 @@ def stage_frames(task, stage, D, fraction, seed):
             "all": np.arange(D + 1, task.length)}[STAGES[stage].frames]
 
 
-def _chunks(items, rows):
-    """Consecutive runs of items whose rows(item) add up to at most CHUNK_ROWS;
-    an item over the cap is a run of its own."""
-    chunk, total = [], 0
-    for item in items:
-        n = rows(item)
-        if chunk and total + n > CHUNK_ROWS:
-            yield chunk
-            chunk, total = [], 0
-        chunk.append(item)
-        total += n
-    if chunk:
-        yield chunk
-
-
 def _scored(tasks, stage, D, fraction, seed):
     """(task, frames) for every task in which the stage scores frames."""
     if not tasks:
@@ -150,14 +130,6 @@ def _scored(tasks, stage, D, fraction, seed):
         raise NoScoredFramesError(f"stage {stage!r} scores no frames in its {len(tasks)} "
                                   f"tasks at D={D}")
     return scored
-
-
-def _stack(tasks, frames):
-    """The tasks' observations stacked, and each task's frame indices, in
-    order, as rows of the stack."""
-    offsets = np.cumsum([0] + [task.length for task in tasks[:-1]])
-    return (np.concatenate([task.observations for task in tasks]),
-            np.concatenate([offset + f for offset, f in zip(offsets, frames)]))
 
 
 def _encode(model, tasks, stage, n_c, seed):
@@ -210,7 +182,7 @@ def rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
 def kl_report(model, tasks, stage, cfg, seed=0):
     """Mean unweighted KL per overshoot distance: training's overshoot
     schedule over chunks of tasks, with the noise elbo_loss would draw task
-    by task."""
+    by task, averaged over each task's own rows and then over tasks."""
     scored = _scored(tasks, stage, cfg.D, cfg.target_fraction, seed)
     rng = np.random.default_rng(seed)
     n_c = stage_n_c(stage, cfg.n_c)
@@ -220,11 +192,10 @@ def kl_report(model, tasks, stage, cfg, seed=0):
         sizes = [frames.size for _, frames in chunk]
         obs, targets = _stack(chunk_tasks, [frames for _, frames in chunk])
         r_c = _encode(model, chunk_tasks, stage, n_c, seed)
-        _, kl_rows = overshoot(model, obs, targets, r_c, cfg, rng, sizes)
-        bounds = np.cumsum([0, *sizes])
-        # each task's mean over its own rows, as elbo_loss's tmean takes it
-        kls.extend([float(kl.value[lo:hi].mean()) for kl in kl_rows]
-                   for lo, hi in zip(bounds[:-1], bounds[1:]))
+        noises = [draw_noise(rng, size, cfg.D, model.cfg.dim_z) for size in sizes]
+        _, kl_rows = overshoot(model, obs, targets, r_c, cfg, noises, sizes)
+        means = [task_means(kl.value, sizes) for kl in kl_rows]
+        kls.extend([float(m[i]) for m in means] for i in range(len(sizes)))
     return list(np.mean(np.asarray(kls), axis=0))
 
 

@@ -33,6 +33,11 @@ class ModelConfig:
     transition_widths: list = field(default_factory=lambda: [128, 128, 64, 16])
     decoder_widths: list = field(default_factory=lambda: [16, 64, 128, 128])
 
+    def __post_init__(self):
+        if self.dim_z < 1 or self.dim_r < 1:
+            raise ValueError(f"dim_z and dim_r must be at least 1, got {self.dim_z} "
+                             f"and {self.dim_r}")
+
 
 @dataclass(frozen=True)
 class ContextBatch:

@@ -10,13 +10,19 @@ import numpy as np
 
 from . import autodiff as ad
 from .artifacts import write_atomic, write_csv
-from .autodiff import NonFiniteError
-from .model import ModelConfig, NeurPhyModel
+from .autodiff import NonFiniteError, Tensor
+from .model import ContextBatch, ModelConfig, NeurPhyModel
 from .nn import Adam, DiagGaussian, gaussian_obs_nll, kl_diag_gauss, reparameterize
 from .physics import DegenerateSplitError, select_contexts
 
 CHECKPOINT_MAGIC = b"NPHY"
 CHECKPOINT_VERSION = 1
+
+# Cap on a chunk's rows: the sum over its tasks of each task's largest network
+# input, which bounds every network input of the chunk. It keeps the
+# activations of one call to about a megabyte per hidden layer. Training and
+# the evaluation readouts split their tasks into chunks by it.
+CHUNK_ROWS = 1024
 
 
 class CheckpointError(Exception):
@@ -54,15 +60,20 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        if self.D < 0 or self.n_c < 1:
+            raise ValueError(f"D must be at least 0 and n_c at least 1, got {self.D} "
+                             f"and {self.n_c}")
         if self.beta is None:
             self.beta = [1.0] * self.D
         if len(self.beta) != self.D:
             raise ValueError(f"need {self.D} beta weights, got {len(self.beta)}")
         if self.batch_tasks < 1:
             raise ValueError(f"batch_tasks must be at least 1, got {self.batch_tasks}")
-        if not (self.sigma_obs > 0 and self.lr > 0):
-            raise ValueError(f"sigma_obs and lr must be positive, got "
+        if not (0 < self.sigma_obs < np.inf and 0 < self.lr < np.inf):
+            raise ValueError(f"sigma_obs and lr must be positive and finite, got "
                              f"{self.sigma_obs} and {self.lr}")
+        if not np.all(np.isfinite(self.beta)):
+            raise ValueError(f"beta weights must be finite, got {self.beta}")
         if not 0.0 < self.target_fraction < 1.0:
             raise ValueError(f"target_fraction must be in (0, 1), got {self.target_fraction}")
 
@@ -79,6 +90,11 @@ class LossBreakdown:
     total: float
 
 
+def target_count(T, D, fraction):
+    """How many of the T-D-1 eligible frames split_frames makes targets."""
+    return max(1, int(fraction * (T - D - 1)))
+
+
 def split_frames(T, D, fraction, seed):
     """Seeded split of eligible frames into (targets, heldout).
 
@@ -91,7 +107,7 @@ def split_frames(T, D, fraction, seed):
     if eligible.size == 0:
         raise DegenerateSplitError(f"no eligible frames for T={T}, D={D}")
     order = np.random.default_rng(seed).permutation(eligible.size)
-    n_target = max(1, int(fraction * eligible.size))
+    n_target = target_count(T, D, fraction)
     targets = np.sort(eligible[order[:n_target]])
     heldout = np.sort(eligible[order[n_target:]])
     return targets, heldout
@@ -101,31 +117,61 @@ def _rows(g, start, stop):
     return DiagGaussian(ad.slice_rows(g.mean, start, stop), ad.slice_rows(g.std, start, stop))
 
 
-def _draw_noise(rng, sizes, D, dim_z):
-    """The reparameterization noise of the overshoot schedule.
+def _chunks(items, rows):
+    """Consecutive runs of items whose rows(item) add up to at most CHUNK_ROWS;
+    an item over the cap is a run of its own."""
+    chunk, total = [], 0
+    for item in items:
+        n = rows(item)
+        if chunk and total + n > CHUNK_ROWS:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += n
+    if chunk:
+        yield chunk
 
-    Each task's draws come in the order and shapes of the per-d loop: q_now's,
-    then per d the recognized draw and its d-1 step draws; task i draws
-    sizes[i] rows, after task i-1. Returns the noise of the recognize rows,
-    and per step k < D the noise of the chains d = D..k+1 that it carries.
-    """
-    starts, steps = [], []
-    for n in sizes:
-        shape = (n, dim_z)
-        start, step = [rng.standard_normal(shape)], {}
-        for d in range(1, D + 1):
-            start.append(rng.standard_normal(shape))
-            for k in range(1, d):
-                step[d, k] = rng.standard_normal(shape)
-        starts.append(start)
-        steps.append(step)
-    recognized = np.concatenate([start[d] for d in (0, *range(D, 0, -1)) for start in starts])
-    carried = [np.concatenate([step[d, k] for d in range(D, k, -1) for step in steps])
+
+def _stack(tasks, frames):
+    """The tasks' observations stacked, and each task's frame indices, in
+    order, as rows of the stack."""
+    offsets = np.cumsum([0] + [task.length for task in tasks[:-1]])
+    return (np.concatenate([task.observations for task in tasks]),
+            np.concatenate([offset + f for offset, f in zip(offsets, frames)]))
+
+
+def task_means(values, sizes):
+    """Each task's mean over its own rows of values, as tmean takes it; task i
+    owns the next sizes[i] rows."""
+    bounds = np.cumsum([0, *sizes])
+    return np.array([values[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def draw_noise(rng, n, D, dim_z):
+    """One task's reparameterization noise for n target frames, drawn in the
+    order and shapes of the per-d loop: q_now's, then per d the recognized
+    draw and its d-1 step draws. Returns (recognized, steps): recognized[d]
+    and steps[d, k] for k = 1..d-1."""
+    shape = (n, dim_z)
+    recognized, steps = [rng.standard_normal(shape)], {}
+    for d in range(1, D + 1):
+        recognized.append(rng.standard_normal(shape))
+        for k in range(1, d):
+            steps[d, k] = rng.standard_normal(shape)
+    return recognized, steps
+
+
+def _stack_noise(noises, D):
+    """Several tasks' draw_noise in the row order of overshoot: the noise of
+    the recognize rows, and per step k < D the noise of the chains d = D..k+1
+    that it carries."""
+    recognized = np.concatenate([rec[d] for d in (0, *range(D, 0, -1)) for rec, _ in noises])
+    carried = [np.concatenate([steps[d, k] for d in range(D, k, -1) for _, steps in noises])
                for k in range(1, D)]
     return recognized, carried
 
 
-def overshoot(model, obs, targets, r_c, cfg, rng, sizes=None):
+def overshoot(model, obs, targets, r_c, cfg, noises, sizes):
     """The triangular overshoot schedule over the target frames of one or more
     tasks (single-sample Monte Carlo throughout).
 
@@ -134,22 +180,22 @@ def overshoot(model, obs, targets, r_c, cfg, rng, sizes=None):
     current posterior is matched against.
 
     obs stacks the tasks' observations, and targets indexes its rows task by
-    task, sizes[i] of them task i's. r_c has one row per task; with sizes
-    None, all targets are one task's and r_c is that task's 1-D r_c.
+    task, sizes[i] of them task i's. r_c has one row per task, and noises
+    holds each task's draw_noise.
 
     One recognize call covers the N targets' pairs for d = 0, D, D-1, ..., 1,
     one contiguous block of N rows each. At transition step k = 1..D the rows
     of every d >= k advance together: the last block (d = k) is that step's
-    prior and the rest are carried forward. The noise is drawn task by task in
-    the order and shapes of the per-d loop, so this equals that loop up to
+    prior and the rest are carried forward. Each row takes the noise that the
+    per-d loop over its own task would draw, so this equals that loop up to
     rounding.
 
     Returns (z_now, kl_rows): the posterior sample at the targets, and per d
     the unweighted KL of every target row.
     """
     n, D = targets.size, cfg.D
-    recognized_noise, carried_noise = _draw_noise(rng, sizes or [n], D, model.cfg.dim_z)
-    owner = None if sizes is None else np.repeat(np.arange(len(sizes)), sizes)
+    recognized_noise, carried_noise = _stack_noise(noises, D)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
 
     back = np.concatenate([targets[None, :], targets - np.arange(D, 0, -1)[:, None]]).ravel()
     q_all = model.recognize(np.concatenate([obs[back - 1], obs[back]], axis=1))
@@ -159,9 +205,8 @@ def overshoot(model, obs, targets, r_c, cfg, rng, sizes=None):
     kl_rows = []
     z = ad.slice_rows(z_all, n, (D + 1) * n)  # chains d = D..1
     for k in range(1, D + 1):
-        # one task's r_c serves every row; a chunk's is repeated per chain block
-        rows = r_c if owner is None else ad.take_rows(r_c, np.tile(owner, D - k + 1))
-        dist = model.transition(z, rows)
+        # each task's r_c, repeated for its rows of every chain block
+        dist = model.transition(z, ad.take_rows(r_c, np.tile(owner, D - k + 1)))
         carried = (D - k) * n  # rows of chains d = D..k+1
         kl_rows.append(kl_diag_gauss(q_now, _rows(dist, carried, carried + n)))
         if k < D:
@@ -169,27 +214,76 @@ def overshoot(model, obs, targets, r_c, cfg, rng, sizes=None):
     return ad.slice_rows(z_all, 0, n), kl_rows
 
 
+def chunk_elbo(model, tasks, ctxs, targets, noises, cfg, weight):
+    """The weighted sum of several tasks' overshooting ELBOs, as one graph.
+
+    A task's ELBO is its reconstruction NLL plus its beta-weighted KL terms,
+    each a mean over its own target frames; each row of task i enters the sum
+    with weight / n_i. ctxs, targets and noises hold each task's context set,
+    target frames and draw_noise.
+
+    Returns (sum Tensor for backward, one LossBreakdown per task with
+    unweighted KLs).
+    """
+    sizes = [frames.size for frames in targets]
+    obs, rows = _stack(tasks, targets)
+    r_c = model.encode_context(ContextBatch.of(ctxs))
+    z_now, kl_rows = overshoot(model, obs, rows, r_c, cfg, noises, sizes)
+    recon = gaussian_obs_nll(obs[rows], model.decode(z_now), cfg.sigma_obs)
+    w = Tensor(np.repeat(weight / np.asarray(sizes, dtype=np.float64), sizes))
+    total = ad.tsum(ad.mul(recon, w))
+    for d, kl in enumerate(kl_rows):
+        total = ad.add(total, ad.scale(ad.tsum(ad.mul(kl, w)), cfg.beta[d] / cfg.D))
+
+    recons = task_means(recon.value, sizes)
+    kls = [task_means(kl.value, sizes) for kl in kl_rows]
+    totals = recons
+    for d, kl in enumerate(kls):
+        totals = totals + kl * (cfg.beta[d] / cfg.D)
+    return total, [LossBreakdown(recon=float(recons[i]), kl=[float(kl[i]) for kl in kls],
+                                 total=float(totals[i])) for i in range(len(tasks))]
+
+
 def elbo_loss(model, task, ctx, targets, cfg, rng):
     """Reconstruction NLL plus per-overshoot latent KL terms, averaged over
-    targets: the overshoot schedule on one task, as one graph.
+    targets: chunk_elbo of one task at weight 1, drawing its noise from rng.
 
     Returns (total Tensor for backward, LossBreakdown with unweighted KLs).
     """
     targets = np.asarray(targets)
-    obs = task.observations
-    r_c = model.encode_context(ctx)
-    z_now, kl_rows = overshoot(model, obs, targets, r_c, cfg, rng)
-    recon = ad.tmean(gaussian_obs_nll(obs[targets], model.decode(z_now), cfg.sigma_obs))
-    kl_terms = [ad.tmean(kl) for kl in kl_rows]
-
-    total = recon
-    for d, kl_d in enumerate(kl_terms):
-        total = ad.add(total, ad.scale(kl_d, cfg.beta[d] / cfg.D))
-
-    breakdown = LossBreakdown(recon=float(recon.value),
-                              kl=[float(k.value) for k in kl_terms],
-                              total=float(total.value))
+    noise = draw_noise(rng, targets.size, cfg.D, model.cfg.dim_z)
+    total, (breakdown,) = chunk_elbo(model, [task], [ctx], [targets], [noise], cfg, 1.0)
     return total, breakdown
+
+
+def backward_batch(model, batch, cfg, rng):
+    """Accumulate into the parameters' .grad the gradient of the minibatch's
+    mean ELBO, with one graph and one backward per chunk of its tasks.
+
+    For each task in turn, rng draws the context seed, then the frame seed,
+    then the task's noise, as a per-task loop of elbo_loss would. A task's
+    rows are those of its largest network input, so chunk boundaries are
+    known before any draw. Returns each task's LossBreakdown.
+    """
+    def rows(task):
+        return max(cfg.n_c, (cfg.D + 1) * target_count(task.length, cfg.D,
+                                                       cfg.target_fraction))
+
+    breakdowns = []
+    for chunk in _chunks(batch, rows):
+        ctxs, targets, noises = [], [], []
+        for task in chunk:
+            ctx_seed = int(rng.integers(2 ** 31))
+            frame_seed = int(rng.integers(2 ** 31))
+            ctxs.append(select_contexts(task, cfg.n_c, "train_random", ctx_seed))
+            targets.append(split_frames(task.length, cfg.D, cfg.target_fraction,
+                                        frame_seed)[0])
+            noises.append(draw_noise(rng, targets[-1].size, cfg.D, model.cfg.dim_z))
+        total, chunk_breakdowns = chunk_elbo(model, chunk, ctxs, targets, noises, cfg,
+                                             1.0 / len(batch))
+        ad.backward(total)
+        breakdowns.extend(chunk_breakdowns)
+    return breakdowns
 
 
 def train(tasks, cfg, model=None, checkpoint_path=None, on_epoch=None):
@@ -210,18 +304,9 @@ def train(tasks, cfg, model=None, checkpoint_path=None, on_epoch=None):
             order = rng.permutation(len(tasks))
             breakdowns = []
             for lo in range(0, len(tasks), cfg.batch_tasks):
-                batch = order[lo:lo + cfg.batch_tasks]
                 opt.zero_grad()
-                for i in batch:
-                    task = tasks[i]
-                    ctx_seed = int(rng.integers(2 ** 31))
-                    frame_seed = int(rng.integers(2 ** 31))
-                    ctx = select_contexts(task, cfg.n_c, "train_random", ctx_seed)
-                    targets, _ = split_frames(task.length, cfg.D,
-                                              cfg.target_fraction, frame_seed)
-                    total, br = elbo_loss(model, task, ctx, targets, cfg, rng)
-                    ad.backward(ad.scale(total, 1.0 / len(batch)))
-                    breakdowns.append(br)
+                breakdowns.extend(backward_batch(
+                    model, [tasks[i] for i in order[lo:lo + cfg.batch_tasks]], cfg, rng))
                 opt.step()
             history.append(LossBreakdown(
                 recon=float(np.mean([b.recon for b in breakdowns])),

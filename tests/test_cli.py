@@ -1,11 +1,14 @@
 import json
 import os
+import re
 import shutil
 
+import numpy as np
 import pytest
 
 from neurphy.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
 from neurphy.physics import load_tasks_jsonl
+from neurphy.training import checkpoint_load, checkpoint_save
 
 
 def run(argv):
@@ -90,7 +93,7 @@ def test_train_missing_dataset(tmp_path, capsys):
     assert rc == EXIT_USAGE
 
 
-def test_train_determinism(dataset, tmp_path):
+def test_train_determinism(dataset, tmp_path, capsys):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -99,8 +102,11 @@ def test_train_determinism(dataset, tmp_path):
                   "--n-c", "4", "--dim-z", "2", "--dim-r", "2"])
         assert rc == 0
         outs.append(out)
-    assert (outs[0] / "model.ckpt").read_bytes() == (outs[1] / "model.ckpt").read_bytes()
-    assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
+    # the wall time is printed, and kept out of every artifact
+    final = capsys.readouterr().out.strip().split("\n")[-1]
+    assert re.search(r"trained in \S+ s \(\S+ tasks/s\)", final), final
+    for artifact in ("model.ckpt", "metrics.csv", "manifest.json"):
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
 
 def test_eval_writes_tables(rundir):
@@ -231,7 +237,9 @@ def test_generate_grid_gm_from_config(tmp_path):
 @pytest.mark.parametrize("flag,value", [
     ("--batch-tasks", "-1"), ("--sigma-obs", "0"), ("--sigma-obs", "-0.1"),
     ("--lr", "0"), ("--epochs", "0"), ("--target-fraction", "1.5"),
-    ("--target-fraction", "0"), ("--target-fraction", "1")])
+    ("--target-fraction", "0"), ("--target-fraction", "1"), ("--lr", "inf"),
+    ("--beta", "nan"), ("--n-c", "0"), ("--n-c", "999"), ("--D", "-1"), ("--D", "200"),
+    ("--dim-z", "0")])
 def test_train_rejects_bad_input(dataset, tmp_path, flag, value):
     out = tmp_path / "bad"
     rc = run(["train", "--data", str(dataset), "--out", str(out), "--D", "1",
@@ -305,6 +313,18 @@ def test_eval_corrupt_checkpoint_is_io_error(small_tree, capsys):
     rc = run(["eval", "--run", str(small_tree / "run"), "--stage", "training"])
     assert rc == EXIT_IO
     assert "checksum" in capsys.readouterr().err
+
+
+def test_nonfinite_checkpoint_is_numeric_error(small_tree, tmp_path, capsys):
+    ckpt = small_tree / "run" / "model.ckpt"
+    model, cfg = checkpoint_load(ckpt)
+    model.parameters()[0][1].value[0, 0] = np.inf
+    checkpoint_save(model, cfg, ckpt)
+    run_dir = str(small_tree / "run")
+    assert run(["eval", "--run", run_dir, "--stage", "training"]) == EXIT_NUMERIC
+    assert run(["rollout", "--run", run_dir, "--task", "0", "--start", "3",
+                "--horizon", "5", "--out", str(tmp_path / "roll.csv")]) == EXIT_NUMERIC
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_eval_manifest_missing_key_is_usage_error(small_tree):

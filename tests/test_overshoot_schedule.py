@@ -1,19 +1,19 @@
-"""The batched overshoot schedule of elbo_loss, and the task-batched
-evaluation readouts, against the per-overshoot and per-task loops they
-replace, kept here as references."""
+"""The batched overshoot schedule of elbo_loss, the chunked minibatch step of
+training, and the task-batched evaluation readouts, against the
+per-overshoot and per-task loops they replace, kept here as references."""
 
 import numpy as np
 import pytest
 
 from neurphy import autodiff as ad
-from neurphy import evaluation
+from neurphy import evaluation, training
 from neurphy.artifacts import write_csv
 from neurphy.evaluation import (STAGES, context_for_stage, export_manifold, global_r2_table,
                                 kl_report, rollout_mse, stage_frames, stage_n_c)
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.nn import gaussian_obs_nll, kl_diag_gauss, reparameterize
 from neurphy.physics import PendulumGridConfig, generate_task_grid, select_contexts
-from neurphy.training import TrainConfig, elbo_loss, split_frames
+from neurphy.training import TrainConfig, backward_batch, elbo_loss, split_frames
 
 RTOL = 1e-12
 
@@ -43,6 +43,21 @@ def loop_elbo_loss(model, task, ctx, targets, cfg, rng):
     for d, kl_d in enumerate(kl_terms):
         total = ad.add(total, ad.scale(kl_d, cfg.beta[d] / cfg.D))
     return total, float(recon.value), [float(k.value) for k in kl_terms]
+
+
+def loop_backward_batch(model, batch, cfg, rng):
+    """Reference: the per-task training loop, one elbo_loss and one backward
+    per task."""
+    breakdowns = []
+    for task in batch:
+        ctx_seed = int(rng.integers(2 ** 31))
+        frame_seed = int(rng.integers(2 ** 31))
+        ctx = select_contexts(task, cfg.n_c, "train_random", ctx_seed)
+        targets, _ = split_frames(task.length, cfg.D, cfg.target_fraction, frame_seed)
+        total, br = elbo_loss(model, task, ctx, targets, cfg, rng)
+        ad.backward(ad.scale(total, 1.0 / len(batch)))
+        breakdowns.append(br)
+    return breakdowns
 
 
 def loop_rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
@@ -123,10 +138,21 @@ def tasks():
 
 
 def grads(model):
-    return {name: p.grad.copy() for name, p in model.parameters()}
+    """Each parameter's gradient; None for one that no graph reached (the
+    transition network's and the context encoder's at D=0)."""
+    return {name: None if p.grad is None else p.grad.copy() for name, p in model.parameters()}
 
 
-@pytest.mark.parametrize("D", [1, 2, 5])
+def same_grads(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        if want[name] is None:
+            assert got[name] is None, name
+        else:
+            assert got[name] is not None and close(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("D", [0, 1, 2, 5])
 def test_elbo_loss_matches_loop(tasks, D):
     cfg = TrainConfig(D=D, beta=[0.5 + 0.25 * d for d in range(D)],
                       model=ModelConfig(dim_z=3, dim_r=3))
@@ -151,9 +177,39 @@ def test_elbo_loss_matches_loop(tasks, D):
         assert close(k_got, k_want)
     assert close(br.total, float(total.value))
     assert close(total_b.value, total.value)
-    assert want.keys() == got.keys()
-    for name in want:
-        assert close(got[name], want[name]), name
+    same_grads(got, want)
+
+
+@pytest.mark.parametrize("cap", [None, 1])  # None: the default CHUNK_ROWS
+@pytest.mark.parametrize("D", [0, 1, 3])
+def test_backward_batch_matches_task_loop(tasks, D, cap, monkeypatch):
+    cfg = TrainConfig(D=D, beta=[0.5 + 0.25 * d for d in range(D)], n_c=5,
+                      target_fraction=0.8, model=ModelConfig(dim_z=3, dim_r=3))
+    model = NeurPhyModel(cfg.model, np.random.default_rng(D))
+    batch = [tasks[i] for i in (4, 0, 7, 2, 8, 5)]
+
+    want_rng = np.random.default_rng(9)
+    want_br = loop_backward_batch(model, batch, cfg, want_rng)
+    want = grads(model)
+    for _, p in model.parameters():
+        p.grad = None
+    if cap is not None:
+        monkeypatch.setattr(training, "CHUNK_ROWS", cap)
+    backwards = []
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda root: backwards.append(backward(root)))
+    got_rng = np.random.default_rng(9)
+    got_br = backward_batch(model, batch, cfg, got_rng)
+    got = grads(model)
+
+    # the default cap takes the whole batch as one graph, a cap of 1 one task each
+    assert len(backwards) == (1 if cap is None else len(batch))
+    assert got_rng.integers(2 ** 31) == want_rng.integers(2 ** 31)  # same draws
+    assert len(got_br) == len(want_br)
+    for g, w in zip(got_br, want_br):
+        assert len(g.kl) == D
+        assert close(g.recon, w.recon) and close(g.kl, w.kl) and close(g.total, w.total)
+    same_grads(got, want)
 
 
 @pytest.mark.parametrize("stage", sorted(STAGES))
@@ -225,7 +281,13 @@ def test_chunk_boundaries_do_not_change_readouts(tasks, stage, tmp_path, monkeyp
                 [r.r2 for r in global_r2_table(model, tasks, n_c=n_c, seed=4, stage=stage)],
                 *(csv_numbers(p)[1] for p in paths))
 
+    encoded = []  # tasks per context-encoder call, one call per chunk
+    encode = model.encode_context
+    monkeypatch.setattr(model, "encode_context",
+                        lambda batch: encoded.append(len(batch.sizes)) or encode(batch))
     default = readouts("default")
-    monkeypatch.setattr(evaluation, "CHUNK_ROWS", 1)  # one task per chunk
+    calls = len(encoded)
+    monkeypatch.setattr(training, "CHUNK_ROWS", 1)  # one task per chunk
     for got, want in zip(readouts("one"), default):
         assert close(got, want)
+    assert max(encoded[calls:]) == 1 and len(encoded) - calls > calls
