@@ -16,8 +16,8 @@ import time
 from . import __version__
 from .artifacts import write_atomic, write_csv
 from .autodiff import NonFiniteError
-from .evaluation import (STAGES, export_manifold, global_r2_table, kl_report,
-                         rollout_mse, stage_n_c, stage_tasks)
+from .evaluation import (STAGES, EvalStage, context_for_stage, export_manifold,
+                         global_r2_table, kl_report, rollout_mse, stage_tasks)
 from .model import ModelConfig, OutOfRangeError
 from .physics import (OrbitGridConfig, PendulumGridConfig, PhysicsError,
                       generate_task_grid, load_tasks_jsonl, save_tasks_jsonl,
@@ -71,11 +71,8 @@ def _seed_override(seed):
 
 
 def _sha256(path):
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _read_config(path):
@@ -174,8 +171,11 @@ def _load_run(rundir):
         # joining keeps the absolute paths that older manifests hold
         ckpt = os.path.join(rundir, manifest["checkpoint"])
         data = os.path.join(rundir, manifest["dataset"])
+        digest = manifest["dataset_sha256"]
     except KeyError as exc:
         raise UsageError(f"{manifest_path} has no {exc} entry") from exc
+    if _sha256(data) != digest:
+        raise OSError(f"{data} changed since training: its sha256 is not {manifest_path}'s")
     model, cfg = checkpoint_load(ckpt)
     return model, cfg, load_tasks_jsonl(data)
 
@@ -187,33 +187,28 @@ def _aligned(rows):
 
 def cmd_eval(args):
     model, cfg, tasks = _load_run(args.run)
-    seed = _seed_override(args.eval_seed)
-    stage = args.stage
-    stage_set = stage_tasks(tasks, stage, cfg.seed)
-    n_c = stage_n_c(stage, cfg.n_c)
-
-    mse = rollout_mse(model, stage_set, stage, cfg.D, n_c=n_c,
-                      fraction=cfg.target_fraction, seed=seed)
-    kls = kl_report(model, stage_set, stage, cfg, seed=seed)
-    r2s = global_r2_table(model, stage_set, n_c=n_c, seed=seed, stage=stage)
+    s = EvalStage.draw(model, stage_tasks(tasks, args.stage, cfg.seed), args.stage, cfg,
+                       _seed_override(args.eval_seed))
+    mse = rollout_mse(model, s)
+    kls = kl_report(model, s)
+    r2s = global_r2_table(s)
 
     tables = {
-        "mse": (["stage"] + [f"T+{d}" for d in range(cfg.D + 1)], [[stage, *mse.mse]]),
-        "kl": (["stage"] + [f"kl{d}" for d in range(1, cfg.D + 1)], [[stage, *kls]]),
+        "mse": (["stage"] + [f"T+{d}" for d in range(cfg.D + 1)], [[s.name, *mse.mse]]),
+        "kl": (["stage"] + [f"kl{d}" for d in range(1, cfg.D + 1)], [[s.name, *kls]]),
         "r2": (["target", "degree", "r2"], [[r.target, r.degree, r.r2] for r in r2s]),
     }
     shown = []
     for kind, (header, rows) in tables.items():
-        write_csv(os.path.join(args.run, f"{kind}_{stage}.csv"), header, rows)
+        write_csv(os.path.join(args.run, f"{kind}_{s.name}.csv"), header, rows)
         title = [kind.upper()] + header[1:] if header[0] == "stage" else header
         shown.append(_aligned([title] + [[c if isinstance(c, str) else f"{c:.5g}"
                                           for c in row] for row in rows]))
     print("\n\n".join(shown))
 
     if args.manifold_out:
-        export_manifold(model, stage_set, args.manifold_out + "_global.csv",
-                        args.manifold_out + "_states.csv", n_c=n_c, seed=seed,
-                        stage=stage)
+        export_manifold(model, s, args.manifold_out + "_global.csv",
+                        args.manifold_out + "_states.csv")
         print(f"manifold CSVs written with prefix {args.manifold_out}")
     return 0
 
@@ -226,8 +221,7 @@ def cmd_rollout(args):
     task = by_id[args.task]
     seed = _seed_override(args.eval_seed)
     # the run's n_c contexts from the sequence prefix, as the meta-test stages draw them
-    ctx = select_contexts(task, cfg.n_c, STAGES["metatest20"].ctx_mode,
-                          seed + task.task_id)
+    ctx = context_for_stage(task, "metatest20", cfg.n_c, seed)
     try:
         pred = model.predict_observations(task, ctx, args.start, args.horizon)
     except OutOfRangeError as exc:
@@ -239,16 +233,14 @@ def cmd_rollout(args):
     return 0
 
 
-def _read_csv(path):
-    with open(path) as f:
-        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
-    return rows[0], rows[1:]
-
-
 def cmd_plot(args):
     if not os.path.exists(args.infile):
         raise UsageError(f"input not found: {args.infile}")
-    header, rows = _read_csv(args.infile)
+    with open(args.infile) as f:
+        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
+    if len(rows) < 2:
+        raise UsageError(f"no data rows in {args.infile}")
+    header, *rows = rows
     if header[:5] == ["t", "true_x", "true_y", "pred_x", "pred_y"]:
         t = [float(r[0]) for r in rows]
         series = {"true_x": [float(r[1]) for r in rows],
@@ -327,10 +319,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PhysicsError, ValueError) as exc:
+    except (UsageError, PhysicsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, CheckpointError) as exc:

@@ -1,9 +1,9 @@
 """Quantitative evaluation: polynomial R^2 fits of learned representations,
 per-overshoot rollout MSE tables, KL reports, and manifold CSV exports.
 
-Every readout is forward-only (autodiff.no_grad) and runs over the stage's
-tasks in chunks, capped by training.CHUNK_ROWS as training's are: each network
-is called once per chunk (the transition once per step), not once per task.
+Every readout reads one EvalStage, is forward-only (autodiff.no_grad) and runs
+over the stage's tasks in chunks, capped by training.CHUNK_ROWS as training's
+are: each network is called once per chunk (the transition once per step).
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from .artifacts import write_csv
 from .autodiff import Tensor
 from .model import ContextBatch
 from .physics import select_contexts, split_meta
-from .training import _chunks, _stack, draw_noise, overshoot, split_frames, task_means
+from .training import TrainConfig, _chunks, _stack, draw_noise, overshoot, split_frames, task_means
 
 
 class DegenerateTargetError(Exception):
@@ -120,26 +120,40 @@ def stage_frames(task, stage, D, fraction, seed):
             "all": np.arange(D + 1, task.length)}[STAGES[stage].frames]
 
 
-def _scored(tasks, stage, D, fraction, seed):
-    """(task, frames) for every task in which the stage scores frames."""
-    if not tasks:
-        raise ValueError("need at least one task")
-    scored = [(task, frames) for task in tasks
-              if (frames := stage_frames(task, stage, D, fraction, seed)).size]
+@dataclass(frozen=True)
+class EvalStage:
+    """What every readout of a stage reads, drawn once by draw: the stage's
+    tasks, each task's stage_frames, and r_c, one row per task."""
+
+    name: str
+    cfg: TrainConfig  # the run's D, n_c (through stage_n_c) and target_fraction
+    seed: int
+    tasks: list
+    frames: list
+    r_c: np.ndarray
+
+    @classmethod
+    @ad.no_grad()
+    def draw(cls, model, tasks, stage, cfg, seed):
+        n_c = stage_n_c(stage, cfg.n_c)
+        ctxs = [context_for_stage(task, stage, n_c, seed) for task in tasks]
+        return cls(stage, cfg, seed, tasks,
+                   [stage_frames(task, stage, cfg.D, cfg.target_fraction, seed) for task in tasks],
+                   np.concatenate([model.encode_context(ContextBatch.of(chunk)).value
+                                   for chunk in _chunks(ctxs, lambda ctx: n_c)]))
+
+
+def _scored_chunks(s):
+    """Chunks of (task, frames, r_c) of the stage's tasks that score frames."""
+    scored = [item for item in zip(s.tasks, s.frames, s.r_c) if item[1].size]
     if not scored:
-        raise NoScoredFramesError(f"stage {stage!r} scores no frames in its {len(tasks)} "
-                                  f"tasks at D={D}")
-    return scored
-
-
-def _encode(model, tasks, stage, n_c, seed):
-    """Each task's r_c, one row per task, from one context-encoder call."""
-    return model.encode_context(ContextBatch.of(
-        [context_for_stage(task, stage, n_c, seed) for task in tasks]))
+        raise NoScoredFramesError(f"stage {s.name!r} scores no frames in its {len(s.tasks)} "
+                                  f"tasks at D={s.cfg.D}")
+    return _chunks(scored, lambda item: (s.cfg.D + 1) * item[1].size)
 
 
 @ad.no_grad()
-def rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
+def rollout_mse(model, s):
     """MSE of predicting x_t from the frame pair d steps back, for d = 0..D.
 
     d=0 is recognize-and-decode (reconstruction); d>=1 rolls the latent mean
@@ -147,97 +161,84 @@ def rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
     start frame t-d is recognized and rolled D steps once, and distance d is
     read at step d of its chain.
     """
+    D = s.cfg.D
     sq_sums = np.zeros(D + 1)
-    counts = np.zeros(D + 1)
-    for chunk in _chunks(_scored(tasks, stage, D, fraction, seed),
-                         lambda item: max(n_c, (D + 1) * item[1].size)):
-        chunk_tasks = [task for task, _ in chunk]
-        starts = [np.unique(frames[None, :] - np.arange(D + 1)[:, None]) for _, frames in chunk]
-        obs, rows = _stack(chunk_tasks, starts)
+    count = 0  # entries scored, the same at every distance
+    for chunk in _scored_chunks(s):
+        tasks, frames, r_c = zip(*chunk)
+        starts = [np.unique(f[None, :] - np.arange(D + 1)[:, None]) for f in frames]
+        sizes = [start.size for start in starts]
+        obs, rows = _stack(tasks, starts)
         z = model.recognize(np.concatenate([obs[rows - 1], obs[rows]], axis=1)).mean
         latents = [z.value]
         if D >= 1:
-            r_c = _encode(model, chunk_tasks, stage, n_c, seed)
-            owner = np.repeat(np.arange(len(chunk)), [s.size for s in starts])
-            dists, _ = model.rollout(z, ad.take_rows(r_c, owner), D, mode="mean")
+            dists, _ = model.rollout(z, Tensor(np.repeat(r_c, sizes, axis=0)), D, mode="mean")
             latents.extend(dist.mean.value for dist in dists)
         # decode only what is scored: distance d of frame t, at step d of t-d's chain
-        first = np.cumsum([0] + [s.size for s in starts[:-1]])
-        read = [np.concatenate([lo + np.searchsorted(s, frames - d)
-                                for lo, s, (_, frames) in zip(first, starts, chunk)])
+        first = np.cumsum([0] + sizes[:-1])
+        read = [np.concatenate([lo + np.searchsorted(start, f - d)
+                                for lo, start, f in zip(first, starts, frames)])
                 for d in range(D + 1)]
         pred = model.decode(Tensor(np.concatenate([latent[r] for latent, r in zip(latents, read)])))
-        pred = pred.value.reshape(D + 1, read[0].size, -1)
-        lo = 0
-        for task, frames in chunk:
-            for d in range(D + 1):
-                err = pred[d, lo:lo + frames.size] - task.observations[frames]
-                sq_sums[d] += float(np.sum(err ** 2))
-                counts[d] += err.size
-            lo += frames.size
-    return MseTable(stage=stage, mse=list(sq_sums / counts))
+        err = (pred.value.reshape(D + 1, read[0].size, -1)
+               - np.concatenate([task.observations[f] for task, f in zip(tasks, frames)]))
+        sq_sums += np.sum(err ** 2, axis=(1, 2))
+        count += err[0].size
+    return MseTable(stage=s.name, mse=list(sq_sums / count))
 
 
 @ad.no_grad()
-def kl_report(model, tasks, stage, cfg, seed=0):
+def kl_report(model, s):
     """Mean unweighted KL per overshoot distance: training's overshoot
     schedule over chunks of tasks, with the noise elbo_loss would draw task
     by task, averaged over each task's own rows and then over tasks."""
-    scored = _scored(tasks, stage, cfg.D, cfg.target_fraction, seed)
-    rng = np.random.default_rng(seed)
-    n_c = stage_n_c(stage, cfg.n_c)
+    rng = np.random.default_rng(s.seed)
     kls = []
-    for chunk in _chunks(scored, lambda item: max(n_c, (cfg.D + 1) * item[1].size)):
-        chunk_tasks = [task for task, _ in chunk]
-        sizes = [frames.size for _, frames in chunk]
-        obs, targets = _stack(chunk_tasks, [frames for _, frames in chunk])
-        r_c = _encode(model, chunk_tasks, stage, n_c, seed)
-        noises = [draw_noise(rng, size, cfg.D, model.cfg.dim_z) for size in sizes]
-        _, kl_rows = overshoot(model, obs, targets, r_c, cfg, noises, sizes)
+    for chunk in _scored_chunks(s):
+        tasks, frames, r_c = zip(*chunk)
+        sizes = [f.size for f in frames]
+        obs, targets = _stack(tasks, frames)
+        noises = [draw_noise(rng, size, s.cfg.D, model.cfg.dim_z) for size in sizes]
+        _, kl_rows = overshoot(model, obs, targets, Tensor(np.stack(r_c)), s.cfg, noises, sizes)
         means = [task_means(kl.value, sizes) for kl in kl_rows]
         kls.extend([float(m[i]) for m in means] for i in range(len(sizes)))
     return list(np.mean(np.asarray(kls), axis=0))
 
 
 @ad.no_grad()
-def export_manifold(model, tasks, global_path, state_path, n_c=20, seed=0,
-                    stage="training"):
+def export_manifold(model, s, global_path, state_path):
     """Write one CSV row per task (r_c + true globals) and one per frame
     (recognized z mean + true state)."""
-    global_keys = list(tasks[0].globals.keys())
-    r_cs, zs = [], []
-    for chunk in _chunks(tasks, lambda task: max(n_c, task.length - 1)):
-        r_cs.extend(_encode(model, chunk, stage, n_c, seed).value)
+    global_keys = list(s.tasks[0].globals.keys())
+    zs = []
+    for chunk in _chunks(s.tasks, lambda task: task.length - 1):
         pairs = np.concatenate([np.concatenate([task.observations[:-1], task.observations[1:]],
                                                axis=1) for task in chunk])
         z = model.recognize(pairs).mean.value
         zs.extend(np.split(z, np.cumsum([task.length - 1 for task in chunk])[:-1]))
     write_csv(global_path, [f"r_c_{i}" for i in range(model.cfg.dim_r)] + global_keys,
               ([*r_c, *(task.globals[k] for k in global_keys)]
-               for r_c, task in zip(r_cs, tasks)))
+               for r_c, task in zip(s.r_c, s.tasks)))
     write_csv(state_path, ["task_id"] + [f"z_{i}" for i in range(model.cfg.dim_z)]
-              + [f"state_{i}" for i in range(tasks[0].states.shape[1])],
+              + [f"state_{i}" for i in range(s.tasks[0].states.shape[1])],
               ([task.task_id, *z[t - 1], *task.states[t]]
-               for task, z in zip(tasks, zs) for t in range(1, task.length)))
+               for task, z in zip(s.tasks, zs) for t in range(1, task.length)))
 
 
-@ad.no_grad()
-def global_r2_table(model, tasks, n_c=20, seed=0, stage="training"):
+def global_r2_table(s):
     """R^2 of r_c against every ground-truth global, degrees 1 and 2.
 
     Targets with zero variance and fits with too few tasks for their
     coefficients are left out.
     """
-    features = np.concatenate([_encode(model, chunk, stage, n_c, seed).value
-                               for chunk in _chunks(tasks, lambda task: n_c)])
     reports = []
-    for key in tasks[0].globals.keys():
-        target = np.array([task.globals[key] for task in tasks])
+    for key in s.tasks[0].globals.keys():
+        target = np.array([task.globals[key] for task in s.tasks])
         if float(np.var(target)) == 0.0:
             continue
         for degree in (1, 2):
             try:
-                reports.append(fit_poly_r2(features, target, degree, name=key))
+                reports.append(fit_poly_r2(s.r_c, target, degree, name=key))
             except UnderdeterminedFitError:
                 pass
     return reports

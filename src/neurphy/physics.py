@@ -31,6 +31,10 @@ class InfeasibleContextError(PhysicsError):
     pass
 
 
+class CorruptDatasetError(PhysicsError):
+    """A JSONL line that does not decode as a task."""
+
+
 @dataclass
 class PendulumParams:
     l: float = 2.0
@@ -301,10 +305,14 @@ def task_to_json(task):
 
 def task_from_json(line):
     d = json.loads(line)
-    return Task(task_id=d["task_id"], system=d["system"], globals=d["globals"],
+    task = Task(task_id=d["task_id"], system=d["system"], globals=d["globals"],
                 states=np.asarray(d["states"], dtype=np.float64),
                 observations=np.asarray(d["observations"], dtype=np.float64),
                 dt=d["dt"], seed=d["seed"])
+    if not (task.states.ndim == task.observations.ndim == 2
+            and task.length == task.observations.shape[0] >= 2):
+        raise ValueError("states and observations must be 2-D with the same rows, at least 2")
+    return task
 
 
 def save_tasks_jsonl(tasks, path):
@@ -312,5 +320,12 @@ def save_tasks_jsonl(tasks, path):
 
 
 def load_tasks_jsonl(path):
-    with open(path) as f:
-        return [task_from_json(line) for line in f if line.strip()]
+    tasks = []
+    with open(path, "rb") as f:
+        for number, line in enumerate(f, 1):
+            try:
+                if line.strip():
+                    tasks.append(task_from_json(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorruptDatasetError(f"{path}, line {number}: {exc!r}") from exc
+    return tasks

@@ -27,34 +27,34 @@ def _scales(xs, ys):
     return sx, sy, (x_lo, x_hi, y_lo, y_hi)
 
 
-def _frame(parts, bounds, title, x_label, y_label):
+def _frame(bounds, title, x_label, y_label):
     x_lo, x_hi, y_lo, y_hi = bounds
-    parts.append(f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
-                 f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#333"/>')
-    parts.append(f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-                 f'font-size="15">{title}</text>')
-    parts.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-                 f'font-size="12">{x_label}</text>')
-    parts.append(f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" font-size="12" '
-                 f'transform="rotate(-90 16 {HEIGHT // 2})">{y_label}</text>')
-    parts.append(f'<text x="{MARGIN}" y="{HEIGHT - MARGIN + 16}" '
-                 f'font-size="10">{_fmt(x_lo)}</text>')
-    parts.append(f'<text x="{WIDTH - MARGIN}" y="{HEIGHT - MARGIN + 16}" '
-                 f'text-anchor="end" font-size="10">{_fmt(x_hi)}</text>')
-    parts.append(f'<text x="{MARGIN - 4}" y="{HEIGHT - MARGIN}" text-anchor="end" '
-                 f'font-size="10">{_fmt(y_lo)}</text>')
-    parts.append(f'<text x="{MARGIN - 4}" y="{MARGIN + 4}" text-anchor="end" '
-                 f'font-size="10">{_fmt(y_hi)}</text>')
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+            f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
+            f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#333"/>',
+            f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
+            f'font-size="15">{title}</text>',
+            f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+            f'font-size="12">{x_label}</text>',
+            f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" font-size="12" '
+            f'transform="rotate(-90 16 {HEIGHT // 2})">{y_label}</text>',
+            f'<text x="{MARGIN}" y="{HEIGHT - MARGIN + 16}" '
+            f'font-size="10">{_fmt(x_lo)}</text>',
+            f'<text x="{WIDTH - MARGIN}" y="{HEIGHT - MARGIN + 16}" '
+            f'text-anchor="end" font-size="10">{_fmt(x_hi)}</text>',
+            f'<text x="{MARGIN - 4}" y="{HEIGHT - MARGIN}" text-anchor="end" '
+            f'font-size="10">{_fmt(y_lo)}</text>',
+            f'<text x="{MARGIN - 4}" y="{MARGIN + 4}" text-anchor="end" '
+            f'font-size="10">{_fmt(y_hi)}</text>']
 
 
 def line_chart(x, series, title="", x_label="", y_label=""):
     """series: ordered dict-like of name -> y values aligned with x."""
     all_y = [v for ys in series.values() for v in ys]
     sx, sy, bounds = _scales(list(x), all_y)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>']
-    _frame(parts, bounds, title, x_label, y_label)
+    parts = _frame(bounds, title, x_label, y_label)
     for i, (name, ys) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         points = " ".join(f"{_fmt(sx(xv))},{_fmt(sy(yv))}" for xv, yv in zip(x, ys))
@@ -76,10 +76,7 @@ def scatter_chart(x, y, color_values, title="", x_label="", y_label="",
     sx, sy, bounds = _scales(list(x), list(y))
     c_lo, c_hi = min(color_values), max(color_values)
     span = (c_hi - c_lo) or 1.0
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>']
-    _frame(parts, bounds, title, x_label, y_label)
+    parts = _frame(bounds, title, x_label, y_label)
     for xv, yv, cv in zip(x, y, color_values):
         frac = (cv - c_lo) / span
         r = int(round(255 * frac))

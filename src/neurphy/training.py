@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -332,35 +333,51 @@ def write_metrics_csv(history, D, path):
     write_csv(path, header, rows)
 
 
-def _config_to_json(cfg):
-    return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
-
-
-def _config_from_json(text):
-    d = json.loads(text)
-    model = ModelConfig(**d.pop("model"))
-    return TrainConfig(model=model, **d)
+def _u32(*values):
+    """values as consecutive little-endian uint32s, as the checkpoint stores integers."""
+    return struct.pack(f"<{len(values)}I", *values)
 
 
 def checkpoint_save(model, cfg, path):
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<I", CHECKPOINT_VERSION)
-    cfg_bytes = _config_to_json(cfg).encode()
-    body += struct.pack("<I", len(cfg_bytes))
-    body += cfg_bytes
+    cfg_bytes = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode()
     params = model.parameters()
-    body += struct.pack("<I", len(params))
+    body = bytearray(CHECKPOINT_MAGIC + _u32(CHECKPOINT_VERSION, len(cfg_bytes)) + cfg_bytes
+                     + _u32(len(params)))
     for name, p in params:
         name_bytes = name.encode()
-        body += struct.pack("<I", len(name_bytes))
-        body += name_bytes
-        body += struct.pack("<I", p.value.ndim)
-        for dim in p.value.shape:
-            body += struct.pack("<I", dim)
+        body += _u32(len(name_bytes)) + name_bytes + _u32(p.value.ndim, *p.value.shape)
         body += np.ascontiguousarray(p.value, dtype="<f8").tobytes()
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
+    body += _u32(zlib.crc32(bytes(body)))
     write_atomic(path, bytes(body))
+
+
+def _read_body(raw):
+    """(config, parameter arrays by name) from the bytes after the version;
+    ValueError or TypeError if they are not what checkpoint_save writes."""
+    pos = 8
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(raw) - 4:
+            raise ValueError("missing bytes")
+        pos += n
+        return raw[pos - n:pos]
+
+    def u32s(n):
+        return struct.unpack(f"<{n}I", take(4 * n))
+
+    d = json.loads(take(u32s(1)[0]).decode())
+    if not isinstance(d, dict) or not isinstance(d.get("model"), dict):
+        raise ValueError("config is not an object with a model object")
+    cfg = TrainConfig(model=ModelConfig(**d.pop("model")), **d)
+    values = {}
+    for _ in range(u32s(1)[0]):
+        name = take(u32s(1)[0]).decode()
+        shape = u32s(u32s(1)[0])
+        values[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+    if pos != len(raw) - 4:
+        raise ValueError("trailing bytes")
+    return cfg, values
 
 
 def checkpoint_load(path):
@@ -370,36 +387,17 @@ def checkpoint_load(path):
         raise CorruptCheckpointError(f"{path}: not a checkpoint file")
     if zlib.crc32(raw[:-4]) != struct.unpack("<I", raw[-4:])[0]:
         raise CorruptCheckpointError(f"{path}: checksum mismatch")
-    pos = 4
-    (version,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+    (version,) = struct.unpack_from("<I", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatVersionMismatchError(f"{path}: version {version}")
-    (cfg_len,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    cfg = _config_from_json(raw[pos:pos + cfg_len].decode())
-    pos += cfg_len
-    (n_params,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    values = {}
-    for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        name = raw[pos:pos + name_len].decode()
-        pos += name_len
-        (rank,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        values[name] = np.frombuffer(raw, dtype="<f8", count=count,
-                                     offset=pos).reshape(shape).copy()
-        pos += 8 * count
-    if pos != len(raw) - 4:
-        raise CorruptCheckpointError(f"{path}: trailing or missing bytes")
-    model = NeurPhyModel(cfg.model, np.random.default_rng(0))
+    try:
+        # a body that passed the checksum but was not written by checkpoint_save
+        cfg, values = _read_body(raw)
+        model = NeurPhyModel(cfg.model, np.random.default_rng(0))
+    except (ValueError, TypeError) as exc:
+        raise CorruptCheckpointError(f"{path}: malformed body: {exc}") from exc
     for name, p in model.parameters():
-        if name not in values:
-            raise CorruptCheckpointError(f"{path}: missing parameter {name}")
+        if name not in values or values[name].shape != p.value.shape:
+            raise CorruptCheckpointError(f"{path}: missing or misshapen parameter {name}")
         p.value = values[name]
     return model, cfg

@@ -14,7 +14,7 @@ import pytest
 from neurphy import autodiff as ad
 from neurphy.autodiff import Tensor, grad_check
 from neurphy.cli import main as cli_main
-from neurphy.evaluation import global_r2_table, kl_report, rollout_mse
+from neurphy.evaluation import EvalStage, global_r2_table, kl_report, rollout_mse
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.nn import DiagGaussian, kl_diag_gauss
 from neurphy.physics import (OrbitGridConfig, OrbitInit, OrbitState,
@@ -169,8 +169,10 @@ def test_overfit_single_task_reconstruction():
 def test_desk_scale_pendulum_benchmark(pendulum_split, pendulum_d5):
     meta_train, meta_test = pendulum_split
     model, _ = pendulum_d5
-    training = rollout_mse(model, meta_train, "training", D=5, n_c=20, seed=0)
-    metatest = rollout_mse(model, meta_test, "metatest20", D=5, n_c=20, seed=0)
+    training = rollout_mse(model, EvalStage.draw(model, meta_train, "training",
+                                                 TrainConfig(D=5, **DESK), 0))
+    metatest = rollout_mse(model, EvalStage.draw(model, meta_test, "metatest20",
+                                                 TrainConfig(D=5, **DESK), 0))
 
     assert training.mse[0] <= 0.01
     for d in range(5):
@@ -185,19 +187,19 @@ def test_overshooting_ablation_direction(pendulum_split, pendulum_d5, pendulum_d
     model5, _ = pendulum_d5
     model1, _ = pendulum_d1
     cfg = TrainConfig(D=5, **DESK)
-    kl5 = kl_report(model5, meta_train, "training", cfg, seed=0)
-    kl1 = kl_report(model1, meta_train, "training", cfg, seed=0)
+    kl5 = kl_report(model5, EvalStage.draw(model5, meta_train, "training", cfg, 0))
+    kl1 = kl_report(model1, EvalStage.draw(model1, meta_train, "training", cfg, 0))
     for d in range(1, 5):  # overshoot distances 2..5
         assert kl5[d] < kl1[d]
-    mse5 = rollout_mse(model5, meta_train, "training", D=5, n_c=20, seed=0)
-    mse1 = rollout_mse(model1, meta_train, "training", D=5, n_c=20, seed=0)
+    mse5 = rollout_mse(model5, EvalStage.draw(model5, meta_train, "training", cfg, 0))
+    mse1 = rollout_mse(model1, EvalStage.draw(model1, meta_train, "training", cfg, 0))
     assert mse1.mse[0] <= mse5.mse[0]
 
 
 # ---------------------------------------------- 7. manifold identifiability
 
 def _quad_r2(model, tasks, key):
-    reports = global_r2_table(model, tasks, n_c=20, seed=0)
+    reports = global_r2_table(EvalStage.draw(model, tasks, "training", TrainConfig(**DESK), 0))
     return next(r.r2 for r in reports if r.target == key and r.degree == 2)
 
 
@@ -220,8 +222,10 @@ def test_manifold_identifiability_orbit(orbit_split, orbit_d5):
 def test_metatest_two_context_degradation(pendulum_split, pendulum_d5):
     _, meta_test = pendulum_split
     model, _ = pendulum_d5
-    m20 = rollout_mse(model, meta_test, "metatest20", D=5, n_c=20, seed=0)
-    m2 = rollout_mse(model, meta_test, "metatest2", D=5, n_c=2, seed=0)
+    m20 = rollout_mse(model, EvalStage.draw(model, meta_test, "metatest20",
+                                            TrainConfig(D=5, **DESK), 0))
+    m2 = rollout_mse(model, EvalStage.draw(model, meta_test, "metatest2",
+                                           TrainConfig(D=5, **DESK), 0))
     for d in range(6):
         assert m2.mse[d] <= 3.0 * m20.mse[d]
 

@@ -6,7 +6,9 @@ import shutil
 import numpy as np
 import pytest
 
+from neurphy import evaluation
 from neurphy.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
+from neurphy.evaluation import stage_tasks
 from neurphy.physics import load_tasks_jsonl
 from neurphy.training import checkpoint_load, checkpoint_save
 
@@ -212,6 +214,16 @@ def test_plot_unknown_schema(tmp_path, capsys):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("text", ["", "epoch,recon,kl1,total\n"], ids=["empty", "header only"])
+def test_plot_without_data_rows(tmp_path, capsys, text):
+    data = tmp_path / "metrics.csv"
+    data.write_text(text)
+    out = tmp_path / "o.svg"
+    assert run(["plot", "--in", str(data), "--out", str(out)]) == EXIT_USAGE
+    assert f"no data rows in {data}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_env_override(dataset, tmp_path, monkeypatch):
     out1 = tmp_path / "s1"
     monkeypatch.setenv("NEURPHY_SEED", "7")
@@ -303,6 +315,34 @@ def test_run_dir_relocatable(small_tree, tmp_path):
     assert run(["eval", "--run", run_dir, "--stage", "training"]) == 0
     assert run(["rollout", "--run", run_dir, "--task", "0", "--start", "3",
                 "--horizon", "5", "--out", str(tmp_path / "roll.csv")]) == 0
+
+
+def test_eval_draws_each_stage_task_once(rundir, dataset, tmp_path, monkeypatch):
+    draws = []
+    select = evaluation.select_contexts
+    monkeypatch.setattr(evaluation, "select_contexts",
+                        lambda task, *rest: draws.append(task.task_id) or select(task, *rest))
+    assert run(["eval", "--run", str(rundir), "--stage", "training",
+                "--manifold-out", str(tmp_path / "mani")]) == 0
+    cfg = json.loads((rundir / "manifest.json").read_text())["config"]
+    stage_ids = [t.task_id for t in stage_tasks(load_tasks_jsonl(dataset), "training",
+                                                cfg["seed"])]
+    assert draws == stage_ids
+
+
+def test_eval_changed_dataset_is_io_error(small_tree, tmp_path, capsys):
+    # the same file name, regenerated on another grid after training
+    assert run(["generate", "--system", "pendulum", "--out", str(small_tree / "pend.jsonl"),
+                "--l", "1:2:3", "--m", "1:4:3", "--T", "20"]) == 0
+    run_dir = small_tree / "run"
+    before = sorted(os.listdir(run_dir))
+    capsys.readouterr()
+    assert run(["eval", "--run", str(run_dir), "--stage", "training"]) == EXIT_IO
+    assert "sha256" in capsys.readouterr().err
+    roll = tmp_path / "roll.csv"
+    assert run(["rollout", "--run", str(run_dir), "--task", "0", "--start", "3",
+                "--horizon", "5", "--out", str(roll)]) == EXIT_IO
+    assert sorted(os.listdir(run_dir)) == before and not roll.exists()
 
 
 def test_eval_corrupt_checkpoint_is_io_error(small_tree, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurphy.evaluation import (DegenerateTargetError, MseTable, R2Report,
+from neurphy.evaluation import (DegenerateTargetError, EvalStage, MseTable, R2Report,
                                 UnderdeterminedFitError, export_manifold,
                                 fit_poly_r2, global_r2_table, kl_report,
                                 rollout_mse, stage_n_c, stage_tasks)
@@ -17,6 +17,11 @@ def small_model():
                       context_widths=[8, 8], recognition_widths=[8, 8],
                       transition_widths=[8, 8], decoder_widths=[8, 8])
     return NeurPhyModel(cfg, np.random.default_rng(0))
+
+
+def draw(model, tasks):
+    """The training stage of tasks at n_c = 4 and seed 0."""
+    return EvalStage.draw(model, tasks, "training", TrainConfig(n_c=4, model=model.cfg), 0)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +71,8 @@ def test_r2_quadratic_at_least_linear(seed):
 
 def test_rollout_mse_shape_and_nonnegative(tasks):
     model = small_model()
-    table = rollout_mse(model, tasks, "training", D=3, n_c=4, seed=0)
+    table = rollout_mse(model, EvalStage.draw(model, tasks, "training",
+                                              TrainConfig(D=3, n_c=4), 0))
     assert len(table.mse) == 4
     assert all(v >= 0.0 for v in table.mse)
     assert table.stage == "training"
@@ -75,8 +81,9 @@ def test_rollout_mse_shape_and_nonnegative(tasks):
 def test_rollout_mse_deterministic_and_readonly(tasks):
     model = small_model()
     before = [p.value.copy() for _, p in model.parameters()]
-    t1 = rollout_mse(model, tasks, "metatest20", D=2, n_c=4, seed=5)
-    t2 = rollout_mse(model, tasks, "metatest20", D=2, n_c=4, seed=5)
+    cfg = TrainConfig(D=2, n_c=4)
+    t1 = rollout_mse(model, EvalStage.draw(model, tasks, "metatest20", cfg, 5))
+    t2 = rollout_mse(model, EvalStage.draw(model, tasks, "metatest20", cfg, 5))
     assert t1.mse == t2.mse
     for (_, p), b in zip(model.parameters(), before):
         assert np.array_equal(p.value, b)
@@ -85,8 +92,8 @@ def test_rollout_mse_deterministic_and_readonly(tasks):
 def test_kl_report_nonnegative_and_deterministic(tasks):
     model = small_model()
     cfg = TrainConfig(D=2, n_c=4, model=model.cfg)
-    k1 = kl_report(model, tasks, "training", cfg, seed=3)
-    k2 = kl_report(model, tasks, "training", cfg, seed=3)
+    k1 = kl_report(model, EvalStage.draw(model, tasks, "training", cfg, 3))
+    k2 = kl_report(model, EvalStage.draw(model, tasks, "training", cfg, 3))
     assert len(k1) == 2
     assert all(v >= 0.0 for v in k1)
     assert k1 == k2
@@ -96,7 +103,7 @@ def test_export_manifold_schema(tasks, tmp_path):
     model = small_model()
     gp = tmp_path / "manifold_global.csv"
     sp = tmp_path / "manifold_states.csv"
-    export_manifold(model, tasks, gp, sp, n_c=4, seed=0)
+    export_manifold(model, draw(model, tasks), gp, sp)
     g_lines = gp.read_text().strip().split("\n")
     assert g_lines[0] == "r_c_0,r_c_1,l,m"
     assert len(g_lines) == 1 + len(tasks)
@@ -109,14 +116,14 @@ def test_export_manifold_byte_identical(tasks, tmp_path):
     model = small_model()
     paths = [(tmp_path / f"g{i}.csv", tmp_path / f"s{i}.csv") for i in (0, 1)]
     for gp, sp in paths:
-        export_manifold(model, tasks, gp, sp, n_c=4, seed=0)
+        export_manifold(model, draw(model, tasks), gp, sp)
     assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
 
 def test_global_r2_table_rows(tasks):
     model = small_model()
-    reports = global_r2_table(model, tasks, n_c=4, seed=0)
+    reports = global_r2_table(draw(model, tasks))
     # one row per (global parameter, degree)
     assert [(r.target, r.degree) for r in reports] == \
         [("l", 1), ("l", 2), ("m", 1), ("m", 2)]
@@ -131,9 +138,9 @@ def test_r2_underdetermined_fit():
 
 def test_global_r2_table_skips_underdetermined_fits(tasks):
     model = small_model()  # dim_r = 2: degree 1 needs 4 tasks, degree 2 needs 7
-    reports = global_r2_table(model, tasks[:4], n_c=4, seed=0)
+    reports = global_r2_table(draw(model, tasks[:4]))
     assert [(r.target, r.degree) for r in reports] == [("l", 1), ("m", 1)]
-    assert global_r2_table(model, tasks[:3], n_c=4, seed=0) == []
+    assert global_r2_table(draw(model, tasks[:3])) == []
 
 
 def test_stage_table(tasks):

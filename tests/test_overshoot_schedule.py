@@ -8,8 +8,9 @@ import pytest
 from neurphy import autodiff as ad
 from neurphy import evaluation, training
 from neurphy.artifacts import write_csv
-from neurphy.evaluation import (STAGES, context_for_stage, export_manifold, global_r2_table,
-                                kl_report, rollout_mse, stage_frames, stage_n_c)
+from neurphy.evaluation import (STAGES, EvalStage, context_for_stage, export_manifold,
+                                global_r2_table, kl_report, rollout_mse, stage_frames,
+                                stage_n_c)
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.nn import gaussian_obs_nll, kl_diag_gauss, reparameterize
 from neurphy.physics import PendulumGridConfig, generate_task_grid, select_contexts
@@ -215,10 +216,11 @@ def test_backward_batch_matches_task_loop(tasks, D, cap, monkeypatch):
 @pytest.mark.parametrize("stage", sorted(STAGES))
 @pytest.mark.parametrize("D", [0, 1, 3])
 def test_rollout_mse_matches_loop(tasks, stage, D):
-    model = NeurPhyModel(ModelConfig(dim_z=3, dim_r=3), np.random.default_rng(2))
-    n_c = 2 if stage == "metatest2" else 5
-    table = rollout_mse(model, tasks, stage, D, n_c=n_c, fraction=0.8, seed=4)
-    want = loop_rollout_mse(model, tasks, stage, D, n_c=n_c, fraction=0.8, seed=4)
+    model, n_c = stage_model(stage)
+    cfg = TrainConfig(D=D, n_c=n_c, target_fraction=0.8, model=model.cfg)
+    table = rollout_mse(model, EvalStage.draw(model, tasks, stage, cfg, 4))
+    want = loop_rollout_mse(model, tasks, stage, D, n_c=stage_n_c(stage, n_c), fraction=0.8,
+                            seed=4)
     assert len(table.mse) == D + 1
     assert close(table.mse, want)
 
@@ -233,7 +235,7 @@ def stage_model(stage):
 def test_kl_report_matches_loop(tasks, stage, D):
     model, n_c = stage_model(stage)
     cfg = TrainConfig(D=D, n_c=n_c, target_fraction=0.8, model=model.cfg)
-    got = kl_report(model, tasks, stage, cfg, seed=4)
+    got = kl_report(model, EvalStage.draw(model, tasks, stage, cfg, 4))
     want = loop_kl_report(model, tasks, stage, cfg, seed=4)
     assert len(got) == D
     assert close(got, want)
@@ -250,8 +252,9 @@ def test_global_r2_features_match_loop(tasks, stage, monkeypatch):
 
     fit_poly_r2 = evaluation.fit_poly_r2
     monkeypatch.setattr(evaluation, "fit_poly_r2", spy)
-    assert global_r2_table(model, tasks, n_c=n_c, seed=4, stage=stage)
-    want = loop_r2_features(model, tasks, n_c, 4, stage)
+    cfg = TrainConfig(n_c=n_c, model=model.cfg)
+    assert global_r2_table(EvalStage.draw(model, tasks, stage, cfg, 4))
+    want = loop_r2_features(model, tasks, stage_n_c(stage, n_c), 4, stage)
     assert seen and all(close(features, want) for features in seen)
 
 
@@ -260,8 +263,9 @@ def test_export_manifold_matches_loop(tasks, stage, tmp_path):
     model, n_c = stage_model(stage)
     got = [tmp_path / "g.csv", tmp_path / "s.csv"]
     want = [tmp_path / "g_loop.csv", tmp_path / "s_loop.csv"]
-    export_manifold(model, tasks, *got, n_c=n_c, seed=4, stage=stage)
-    loop_export_manifold(model, tasks, *want, n_c=n_c, seed=4, stage=stage)
+    cfg = TrainConfig(n_c=n_c, model=model.cfg)
+    export_manifold(model, EvalStage.draw(model, tasks, stage, cfg, 4), *got)
+    loop_export_manifold(model, tasks, *want, n_c=stage_n_c(stage, n_c), seed=4, stage=stage)
     for g, w in zip(got, want):
         (g_header, g_rows), (w_header, w_rows) = csv_numbers(g), csv_numbers(w)
         assert g_header == w_header and g_rows.shape == w_rows.shape
@@ -275,11 +279,10 @@ def test_chunk_boundaries_do_not_change_readouts(tasks, stage, tmp_path, monkeyp
 
     def readouts(tag):
         paths = [tmp_path / f"g{tag}.csv", tmp_path / f"s{tag}.csv"]
-        export_manifold(model, tasks, *paths, n_c=n_c, seed=4, stage=stage)
-        return (rollout_mse(model, tasks, stage, cfg.D, n_c=n_c, fraction=0.8, seed=4).mse,
-                kl_report(model, tasks, stage, cfg, seed=4),
-                [r.r2 for r in global_r2_table(model, tasks, n_c=n_c, seed=4, stage=stage)],
-                *(csv_numbers(p)[1] for p in paths))
+        s = EvalStage.draw(model, tasks, stage, cfg, 4)  # under the cap of the call
+        export_manifold(model, s, *paths)
+        return (rollout_mse(model, s).mse, kl_report(model, s),
+                [r.r2 for r in global_r2_table(s)], *(csv_numbers(p)[1] for p in paths))
 
     encoded = []  # tasks per context-encoder call, one call per chunk
     encode = model.encode_context

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurphy import physics
-from neurphy.physics import (ContextSet, InfeasibleContextError, OrbitGridConfig,
+from neurphy.physics import (ContextSet, CorruptDatasetError, InfeasibleContextError,
+                             OrbitGridConfig,
                              OrbitInit, OrbitParams, OrbitState,
                              PendulumGridConfig, PendulumParams, PendulumState,
                              UnboundOrbitError, generate_task_grid,
@@ -224,6 +227,52 @@ def test_jsonl_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "tasks2.jsonl"
     save_tasks_jsonl(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def jsonl(tmp_path_factory):
+    """A saved 4-task JSONL's bytes and its parsed first record, and a path to
+    write edits of it to."""
+    tasks, _ = generate_task_grid(PendulumGridConfig(l_count=2, m_count=2, T=6))
+    path = tmp_path_factory.mktemp("jsonl") / "tasks.jsonl"
+    save_tasks_jsonl(tasks, path)
+    return path.read_bytes(), json.loads(task_to_json(tasks[0])), path
+
+
+def _edited(record, **changes):
+    return json.dumps({k: v for k, v in {**record, **changes}.items() if v is not None})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: "{}",
+    lambda r: _edited(r, task_id=None),
+    lambda r: _edited(r, states=r["states"][0]),
+    lambda r: _edited(r, observations=r["observations"][:-1]),
+    lambda r: _edited(r, states=r["states"][:1], observations=r["observations"][:1]),
+    lambda r: _edited(r, states=[r["states"][0], r["states"][1][:1]]),
+    lambda r: "[1, 2]",
+    lambda r: "{not json",
+], ids=["empty", "missing key", "1-D states", "unequal rows", "one row", "ragged",
+        "not an object", "not JSON"])
+def test_jsonl_corrupt_record_names_file_and_line(jsonl, edit):
+    raw, record, path = jsonl
+    path.write_bytes(raw + edit(record).encode() + b"\n")
+    with pytest.raises(CorruptDatasetError, match=re.escape(f"{path}, line 5")):
+        load_tasks_jsonl(path)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_jsonl_truncated_loads_whole_records_or_is_corrupt(jsonl, data):
+    raw, _, path = jsonl
+    cut = data.draw(st.integers(0, len(raw)))
+    path.write_bytes(raw[:cut])
+    try:
+        loaded = load_tasks_jsonl(path)
+    except CorruptDatasetError:
+        return
+    # every record whose closing brace the cut keeps, and no other
+    assert [t.task_id for t in loaded] == list(range(raw[:cut + 1].count(b"\n")))
 
 
 @given(st.floats(0.5, 3.0), st.floats(-0.3, 0.3), st.floats(0.4, 0.9))

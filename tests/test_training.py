@@ -1,10 +1,17 @@
+import dataclasses
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.physics import (DegenerateSplitError, PendulumParams,
                              pendulum_trajectory, select_contexts)
-from neurphy.training import (CorruptCheckpointError, FormatVersionMismatchError,
+from neurphy.training import (CheckpointError, CorruptCheckpointError, FormatVersionMismatchError,
                               LossBreakdown, TrainConfig, checkpoint_load,
                               checkpoint_save, elbo_loss, split_frames, train,
                               write_metrics_csv)
@@ -172,6 +179,68 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatVersionMismatchError):
         checkpoint_load(path)
+
+
+@pytest.fixture(scope="module")
+def ckpt(tmp_path_factory):
+    """A checkpoint's body without its CRC, and a path to write edits of it to."""
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    cfg = tiny_train_config()
+    checkpoint_save(NeurPhyModel(cfg.model, np.random.default_rng(12)), cfg, path)
+    return path.read_bytes()[:-4], path
+
+
+def load_with_crc(path, body):
+    """checkpoint_load of body written to path with a valid CRC."""
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    return checkpoint_load(path)
+
+
+def with_config(cfg_bytes):
+    def edit(body):
+        (n,) = struct.unpack_from("<I", body, 8)
+        return body[:8] + struct.pack("<I", len(cfg_bytes)) + cfg_bytes + body[12 + n:]
+    return edit
+
+
+def with_n_params(body):
+    (n,) = struct.unpack_from("<I", body, 8)
+    return body[:12 + n] + struct.pack("<I", 999) + body[16 + n:]
+
+
+def with_first_shape_swapped(body):
+    (n,) = struct.unpack_from("<I", body, 8)
+    (name_len,) = struct.unpack_from("<I", body, 16 + n)
+    pos = 16 + n + 4 + name_len + 4  # past the name and the rank, 2
+    rows, cols = struct.unpack_from("<2I", body, pos)
+    assert rows != cols
+    return body[:pos] + struct.pack("<2I", cols, rows) + body[pos + 8:]
+
+
+MALFORMED = {
+    "n_params": with_n_params,
+    "unknown config key": with_config(json.dumps(
+        {**dataclasses.asdict(tiny_train_config()), "bogus": 1}).encode()),
+    "config cut mid-UTF-8": with_config('{"D": "\u00e9"}'.encode()[:-3]),
+    "invalid config JSON": with_config(b"{not json"),
+    "swapped parameter shape": with_first_shape_swapped,
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_checkpoint_malformed_body_is_corrupt(ckpt, edit):
+    body, path = ckpt
+    with pytest.raises(CorruptCheckpointError):
+        load_with_crc(path, edit(bytearray(body)))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_checkpoint_truncated_body_raises_checkpoint_error(ckpt, data):
+    body, path = ckpt
+    cut = data.draw(st.integers(0, len(body) - 1))
+    with pytest.raises(CheckpointError):
+        load_with_crc(path, body[:cut])
 
 
 def test_checkpoint_load_evaluates_identically(tmp_path):
