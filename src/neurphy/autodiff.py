@@ -1,8 +1,9 @@
 """Dense-tensor reverse-mode automatic differentiation.
 
-Define-by-run graph over float64 numpy arrays. Every op checks its output for
-NaN/Inf and raises instead of propagating; the batch dimension is always the
-leading axis.
+Define-by-run graph over float64 numpy arrays. Every op but linear checks its
+output for NaN/Inf and raises instead of propagating; linear leaves the check
+to the network that stacks it (nn.MLP checks its output once). The batch
+dimension is always the leading axis.
 
 Each derivative is written once. _ELEMENTWISE holds the forward and the vjp
 of every element-wise function; _elementwise turns an entry into a primitive
@@ -62,9 +63,9 @@ class Tensor:
 
     __slots__ = ("value", "parents", "_vjp", "grad")
 
-    def __init__(self, value, parents=(), vjp=None, _where="tensor"):
+    def __init__(self, value, parents=(), vjp=None, _where="tensor", _checked=True):
         v = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
+        if _checked and not np.isfinite(v).all():
             raise NonFiniteError(f"non-finite values in {_where}")
         self.value = v
         if _recording.get():
@@ -106,14 +107,18 @@ def _quiet(f, **errstate):
     return quiet
 
 
-def _sigmoid(x):
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)  # tanh form is stable for large |x|
+def _sigmoid(x, out=None):
+    # 0.5 * (tanh(0.5 * x) + 1): the tanh form is stable for large |x|
+    y = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    y += 1.0
+    y *= 0.5
+    return y
 
 
 # Element-wise function -> (forward(x), vjp(g, x, y)) with y = forward(x).
 _ELEMENTWISE = {
-    "identity": (lambda x: x, lambda g, x, y: g),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (y > 0.0)),
+    "identity": (lambda x, out=None: x, lambda g, x, y: g),
+    "relu": (lambda x, out=None: np.maximum(x, 0.0, out=out), lambda g, x, y: g * (y > 0.0)),
     "sigmoid": (_sigmoid, lambda g, x, y: g * (y * (1.0 - y))),
     "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
     "exp": (_quiet(np.exp, over="ignore"), lambda g, x, y: g * y),
@@ -123,7 +128,8 @@ _ELEMENTWISE = {
     "square": (lambda x: x * x, lambda g, x, y: g * 2.0 * x),
 }
 # The activations linear fuses: their rules read only y, so linear's vjp does
-# not keep the pre-activation array alive.
+# not keep the pre-activation array alive, and their forwards take out=, so
+# linear applies them in place.
 _FUSED = ("identity", "relu", "sigmoid", "tanh")
 
 
@@ -196,7 +202,11 @@ def matmul(a, b):
 
 
 def linear(x, w, b, activation):
-    """activation(x @ w + b) as one graph node; x is (batch, k), w (k, n), b (n,)."""
+    """activation(x @ w + b) as one graph node; x is (batch, k), w (k, n), b (n,).
+
+    The bias and the activation are applied in place on the product, and the
+    output is not checked for NaN/Inf: the caller checks what the layers
+    stack up to."""
     if activation not in _FUSED:
         raise ValueError(f"linear cannot fuse activation {activation!r}")
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
@@ -204,13 +214,15 @@ def linear(x, w, b, activation):
         raise ShapeMismatchError(
             f"linear expects (batch,k)@(k,n)+(n,), got {x.shape} @ {w.shape} + {b.shape}")
     forward, rule = _ELEMENTWISE[activation]
-    out = forward(x.value @ w.value + b.value)
+    out = x.value @ w.value
+    out += b.value
+    forward(out, out=out)
 
     def vjp(g):
         gh = rule(g, None, out)
         return gh @ w.value.T, x.value.T @ gh, gh.sum(axis=0)
 
-    return Tensor(out, (x, w, b), vjp, _where="linear")
+    return Tensor(out, (x, w, b), vjp, _where="linear", _checked=False)
 
 
 def _reduction(name, reduce, count):

@@ -237,10 +237,16 @@ def cmd_plot(args):
     if not os.path.exists(args.infile):
         raise UsageError(f"input not found: {args.infile}")
     with open(args.infile) as f:
-        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
-    if len(rows) < 2:
+        lines = [(n, line.rstrip("\n").split(",")) for n, line in enumerate(f, 1)
+                 if line.strip()]
+    if len(lines) < 2:
         raise UsageError(f"no data rows in {args.infile}")
-    header, *rows = rows
+    header = lines[0][1]
+    for n, row in lines[1:]:
+        if len(row) != len(header):
+            raise UsageError(f"{args.infile}: line {n} has {len(row)} of the header's "
+                             f"{len(header)} columns")
+    rows = [row for _, row in lines[1:]]
     if header[:5] == ["t", "true_x", "true_y", "pred_x", "pred_y"]:
         t = [float(r[0]) for r in rows]
         series = {"true_x": [float(r[1]) for r in rows],

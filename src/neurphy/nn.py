@@ -42,10 +42,15 @@ class DenseLayer:
 
 
 class MLP:
-    """Hidden layers with a shared activation, then a linear output layer."""
+    """Hidden layers with a shared activation, then a linear output layer.
+
+    The layers do not check their outputs; the network checks its own output
+    for NaN/Inf once, so an overflow in a hidden layer that reaches it raises
+    there."""
 
     def __init__(self, in_dim, hidden, out_dim, rng, name, activation="relu",
                  out_activation="identity"):
+        self.name = name
         self.layers = []
         prev = in_dim
         for i, width in enumerate(hidden):
@@ -57,6 +62,8 @@ class MLP:
     def __call__(self, x):
         for layer in self.layers:
             x = layer(x)
+        if not np.isfinite(x.value).all():
+            raise ad.NonFiniteError(f"non-finite output of network {self.name}")
         return x
 
     def parameters(self):
@@ -93,36 +100,75 @@ class GaussianHead:
 
     def __call__(self, features):
         h = self.inner(features)
-        mean = ad.slice_last(h, 0, self.dim_z)
-        std = ad.add(ad.softplus(ad.slice_last(h, self.dim_z, 2 * self.dim_z)), STD_FLOOR)
-        return DiagGaussian(mean, std)
+        return DiagGaussian(ad.slice_last(h, 0, self.dim_z), self._std(h))
+
+    def _std(self, h):
+        """softplus(h[..., dim_z:]) + STD_FLOOR as one graph node."""
+        softplus, rule = ad._ELEMENTWISE["softplus"]
+        raw = h.value[..., self.dim_z:]
+
+        def vjp(g):
+            full = np.zeros_like(h.value)
+            full[..., self.dim_z:] = rule(g, raw, None)
+            return (full,)
+
+        return Tensor(softplus(raw) + STD_FLOOR, (h,), vjp, _where="gaussian_std")
 
     def parameters(self):
         return self.inner.parameters()
 
 
+# The Gaussian ops below are one graph node each, with an analytic vjp; their
+# forwards do the arithmetic of the composed primitives, in the same order.
+
+
 def reparameterize(g, noise):
     """mean + std * noise, differentiable in mean and std; noise is a constant."""
-    return ad.add(g.mean, ad.mul(g.std, Tensor(noise)))
+    noise = np.asarray(noise, dtype=np.float64)
+    mean, std = g.mean, g.std
+
+    def vjp(grad):
+        return (ad._unbroadcast(grad, mean.shape),
+                ad._unbroadcast(grad * noise, std.shape))
+
+    return Tensor(mean.value + std.value * noise, (mean, std), vjp,
+                  _where="reparameterize")
 
 
 def kl_diag_gauss(q, p):
     """KL(q || p) between diagonal Gaussians, summed over the last axis."""
-    var_ratio = ad.div(
-        ad.add(ad.square(q.std), ad.square(ad.sub(q.mean, p.mean))),
-        ad.scale(ad.square(p.std), 2.0),
-    )
-    per_dim = ad.add(ad.sub(ad.log(p.std), ad.log(q.std)), ad.add(var_ratio, -0.5))
-    return ad.tsum(per_dim, axis=-1)
+    qm, qs, pm, ps = q.mean.value, q.std.value, p.mean.value, p.std.value
+    diff = qm - pm
+    p_var = ps * ps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_ratio = (qs * qs + diff * diff) / (p_var * 2.0)
+        per_dim = (np.log(ps) - np.log(qs)) + (var_ratio + -0.5)
+
+    def vjp(g):
+        g = g[..., None]
+        g_mean = g * diff / p_var
+        return (ad._unbroadcast(g_mean, qm.shape),
+                ad._unbroadcast(g * (qs / p_var - 1.0 / qs), qs.shape),
+                ad._unbroadcast(-g_mean, pm.shape),
+                ad._unbroadcast(g * (1.0 - 2.0 * var_ratio) / ps, ps.shape))
+
+    return Tensor(per_dim.sum(axis=-1), (q.mean, q.std, p.mean, p.std), vjp,
+                  _where="kl_diag_gauss")
 
 
 def gaussian_obs_nll(x, mean, sigma_obs):
     """Negative log-likelihood of x under N(mean, sigma_obs^2 I), summed over dims."""
     x = np.asarray(x, dtype=np.float64)
-    dims = x.shape[-1]
-    sq = ad.tsum(ad.square(ad.sub(mean, Tensor(x))), axis=-1)
-    const = dims * (np.log(sigma_obs) + 0.5 * np.log(2.0 * np.pi))
-    return ad.add(ad.scale(sq, 1.0 / (2.0 * sigma_obs ** 2)), const)
+    mean = ad.as_tensor(mean)
+    diff = mean.value - x
+    c = float(1.0 / (2.0 * sigma_obs ** 2))
+    const = x.shape[-1] * (np.log(sigma_obs) + 0.5 * np.log(2.0 * np.pi))
+
+    def vjp(g):
+        return (ad._unbroadcast((g * c)[..., None] * 2.0 * diff, mean.shape),)
+
+    return Tensor((diff * diff).sum(axis=-1) * c + const, (mean,), vjp,
+                  _where="gaussian_obs_nll")
 
 
 class Adam:
@@ -142,16 +188,30 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """One update of every parameter with a gradient. The moments are
+        updated in place, in the operation order of
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+        p = p - lr (m / c1) / (sqrt(v / c2) + eps),  ck = 1 - bk^t."""
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for name, p in self.params:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise ad.NonFiniteError(f"non-finite gradient for parameter {name}")
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / (1.0 - b1 ** self.t)
-            v_hat = self.v[name] / (1.0 - b2 ** self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            gg = (1.0 - b2) * g
+            gg *= g
+            v += gg
+            denom = np.divide(v, c2, out=gg)
+            np.sqrt(denom, out=denom)
+            denom += self.EPSILON
+            update = m / c1
+            update *= self.lr
+            update /= denom
+            p.value = p.value - update

@@ -381,6 +381,8 @@ def _read_body(raw):
 
 
 def checkpoint_load(path):
+    """(model, config) from a file checkpoint_save wrote. CheckpointError if
+    it is not one; NonFiniteError, naming the parameter, for a NaN or Inf."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
@@ -399,5 +401,7 @@ def checkpoint_load(path):
     for name, p in model.parameters():
         if name not in values or values[name].shape != p.value.shape:
             raise CorruptCheckpointError(f"{path}: missing or misshapen parameter {name}")
+        if not np.all(np.isfinite(values[name])):
+            raise NonFiniteError(f"{path}: non-finite values in parameter {name}")
         p.value = values[name]
     return model, cfg

@@ -224,6 +224,20 @@ def test_plot_without_data_rows(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,line,cols", [
+    ("epoch,recon,total\n0,1.0,2.0\n1,0.5\n", 3, "2 of the header's 3"),
+    ("t,true_x,true_y,pred_x,pred_y\n3,0.1,0.2,0.3,0.4\n\n4,0.1,0.2\n", 4,
+     "3 of the header's 5"),
+], ids=["metrics", "rollout"])
+def test_plot_short_row(tmp_path, capsys, text, line, cols):
+    data = tmp_path / "short.csv"
+    data.write_text(text)
+    out = tmp_path / "o.svg"
+    assert run(["plot", "--in", str(data), "--out", str(out)]) == EXIT_USAGE
+    assert f"{data}: line {line} has {cols} columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_env_override(dataset, tmp_path, monkeypatch):
     out1 = tmp_path / "s1"
     monkeypatch.setenv("NEURPHY_SEED", "7")
@@ -358,13 +372,16 @@ def test_eval_corrupt_checkpoint_is_io_error(small_tree, capsys):
 def test_nonfinite_checkpoint_is_numeric_error(small_tree, tmp_path, capsys):
     ckpt = small_tree / "run" / "model.ckpt"
     model, cfg = checkpoint_load(ckpt)
-    model.parameters()[0][1].value[0, 0] = np.inf
+    name, param = model.parameters()[0]
+    param.value[0, 0] = np.inf
     checkpoint_save(model, cfg, ckpt)
     run_dir = str(small_tree / "run")
+    message = f"{ckpt}: non-finite values in parameter {name}"
     assert run(["eval", "--run", run_dir, "--stage", "training"]) == EXIT_NUMERIC
+    assert message in capsys.readouterr().err
     assert run(["rollout", "--run", run_dir, "--task", "0", "--start", "3",
                 "--horizon", "5", "--out", str(tmp_path / "roll.csv")]) == EXIT_NUMERIC
-    assert "non-finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_eval_manifest_missing_key_is_usage_error(small_tree):

@@ -5,13 +5,121 @@ from hypothesis import strategies as st
 
 from neurphy import autodiff as ad
 from neurphy.autodiff import NonFiniteError, Tensor, backward, grad_check
+from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.nn import (STD_FLOOR, Adam, DenseLayer, DiagGaussian, GaussianHead,
                         MLP, gaussian_obs_nll, kl_diag_gauss, reparameterize,
                         uniform_init)
+from neurphy.physics import PendulumParams, pendulum_trajectory, select_contexts
+from neurphy.training import TrainConfig, elbo_loss, split_frames
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+# The Gaussian ops composed from autodiff primitives, as references for the
+# fused one-node ops of nn.
+
+
+def _reparameterize_ref(g, noise):
+    return ad.add(g.mean, ad.mul(g.std, Tensor(noise)))
+
+
+def _kl_diag_gauss_ref(q, p):
+    var_ratio = ad.div(
+        ad.add(ad.square(q.std), ad.square(ad.sub(q.mean, p.mean))),
+        ad.scale(ad.square(p.std), 2.0),
+    )
+    per_dim = ad.add(ad.sub(ad.log(p.std), ad.log(q.std)), ad.add(var_ratio, -0.5))
+    return ad.tsum(per_dim, axis=-1)
+
+
+def _gaussian_obs_nll_ref(x, mean, sigma_obs):
+    dims = x.shape[-1]
+    sq = ad.tsum(ad.square(ad.sub(mean, Tensor(x))), axis=-1)
+    const = dims * (np.log(sigma_obs) + 0.5 * np.log(2.0 * np.pi))
+    return ad.add(ad.scale(sq, 1.0 / (2.0 * sigma_obs ** 2)), const)
+
+
+def _gaussian_head_ref(head, features):
+    h = head.inner(features)
+    std = ad.add(ad.softplus(ad.slice_last(h, head.dim_z, 2 * head.dim_z)), STD_FLOOR)
+    return DiagGaussian(ad.slice_last(h, 0, head.dim_z), std)
+
+
+def _flat(g):
+    return ad.concat([g.mean, g.std])
+
+
+_NOISE = _rng(20).normal(size=(4, 3))
+_OBS = _rng(21).normal(size=(4, 2))
+_HEAD = GaussianHead(5, 3, _rng(22), "t")
+_MEANS = _rng(23).normal(size=(2, 4, 3))
+_STDS = _rng(24).uniform(0.05, 2.0, size=(2, 4, 3))
+
+# fused op -> (fused(*tensors), reference(*tensors), input arrays)
+FUSED = {
+    "reparameterize": (
+        lambda m, s: reparameterize(DiagGaussian(m, s), _NOISE),
+        lambda m, s: _reparameterize_ref(DiagGaussian(m, s), _NOISE),
+        [_MEANS[0], _STDS[0]]),
+    "kl_diag_gauss": (
+        lambda qm, qs, pm, ps: kl_diag_gauss(DiagGaussian(qm, qs), DiagGaussian(pm, ps)),
+        lambda qm, qs, pm, ps: _kl_diag_gauss_ref(DiagGaussian(qm, qs),
+                                                  DiagGaussian(pm, ps)),
+        [_MEANS[0], _STDS[0], _MEANS[1], _STDS[1]]),
+    "gaussian_obs_nll": (
+        lambda m: gaussian_obs_nll(_OBS, m, 0.3),
+        lambda m: _gaussian_obs_nll_ref(_OBS, m, 0.3),
+        [_MEANS[0][:, :2]]),
+    "gaussian_head": (
+        lambda f: _flat(_HEAD(f)),
+        lambda f: _flat(_gaussian_head_ref(_HEAD, f)),
+        [_rng(25).normal(size=(4, 5))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_matches_composition(name):
+    fused, reference, inputs = FUSED[name]
+    weights = Tensor(_rng(26).normal(size=reference(*map(Tensor, inputs)).shape))
+
+    def loss(out):
+        return ad.tsum(ad.mul(out, weights))
+
+    for i, x in enumerate(inputs):
+        def f(t, i=i):
+            return loss(fused(*[t if j == i else Tensor(a) for j, a in enumerate(inputs)]))
+        assert grad_check(f, x) < 1e-4
+
+    fused_in, ref_in = [Tensor(a) for a in inputs], [Tensor(a) for a in inputs]
+    out_f, out_r = fused(*fused_in), reference(*ref_in)
+    assert np.array_equal(out_f.value, out_r.value)
+    backward(loss(out_f))
+    backward(loss(out_r))
+    for f, r in zip(fused_in, ref_in):
+        assert np.max(np.abs(f.grad - r.grad)) <= 1e-12 * np.max(np.abs(r.grad))
+
+
+@pytest.mark.parametrize("D,most", [(5, 160), (1, 85)])
+def test_elbo_graph_node_count(D, most):
+    cfg = TrainConfig(D=D)
+    model = NeurPhyModel(ModelConfig(), _rng(27))
+    task = pendulum_trajectory(PendulumParams(), 30)
+    ctx = select_contexts(task, cfg.n_c, "train_random", 1)
+    targets = split_frames(task.length, D, cfg.target_fraction, 2)[0]
+    total, _ = elbo_loss(model, task, ctx, targets, cfg, _rng(28))
+    assert len(ad._toposort(total)) <= most
+
+
+def test_mlp_hidden_overflow_raises_at_output():
+    mlp = MLP(2, [3], 2, _rng(29), "net")
+    mlp.layers[0].w.value = np.full((2, 3), 1e300)
+    x = Tensor(np.full((4, 2), 1e10))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(mlp.layers[0](x).value))  # the layer does not check
+        with pytest.raises(NonFiniteError, match="^non-finite output of network net$"):
+            mlp(x)
 
 
 def test_mlp_zero_weights_zero_output():
@@ -169,6 +277,27 @@ def test_adam_nonfinite_grad_aborts():
     p.grad = np.array([np.nan])
     with pytest.raises(NonFiniteError):
         opt.step()
+
+
+def test_adam_matches_out_of_place_reference():
+    rng = _rng(15)
+    shapes = [(5, 3), (3,)]
+    params = [(f"p{i}", Tensor(rng.normal(size=shape))) for i, shape in enumerate(shapes)]
+    ref = [p.value.copy() for _, p in params]
+    m, v = [np.zeros(shape) for shape in shapes], [np.zeros(shape) for shape in shapes]
+    opt = Adam(params, lr=0.01)
+    b1, b2, lr, eps = Adam.BETA1, Adam.BETA2, 0.01, Adam.EPSILON
+    for t in range(1, 8):
+        for i, (_, p) in enumerate(params):
+            g = rng.normal(size=shapes[i])
+            p.grad = g
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat, v_hat = m[i] / (1.0 - b1 ** t), v[i] / (1.0 - b2 ** t)
+            ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step()
+        for (_, p), r in zip(params, ref):
+            assert np.array_equal(p.value, r)
 
 
 def test_adam_deterministic():
