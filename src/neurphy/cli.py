@@ -7,7 +7,6 @@ The NEURPHY_SEED environment variable overrides every configured seed.
 import argparse
 import configparser
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -19,7 +18,8 @@ from .autodiff import NonFiniteError
 from .evaluation import (STAGES, EvalStage, context_for_stage, export_manifold,
                          global_r2_table, kl_report, rollout_mse, stage_tasks)
 from .model import ModelConfig, OutOfRangeError
-from .physics import (OrbitGridConfig, PendulumGridConfig, PhysicsError,
+# load_tasks_jsonl is not called here; perfbench/tracer.py patches it by name
+from .physics import (OrbitGridConfig, PendulumGridConfig, PhysicsError, TaskFile,
                       generate_task_grid, load_tasks_jsonl, save_tasks_jsonl,
                       select_contexts)
 from .svg import line_chart, scatter_chart
@@ -70,11 +70,6 @@ def _seed_override(seed):
     return int(env) if env else seed
 
 
-def _sha256(path):
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
 def _read_config(path):
     cp = configparser.ConfigParser()
     if path:
@@ -121,7 +116,11 @@ def cmd_train(args):
     cfg.seed = _seed_override(cfg.seed)
     if cfg.epochs < 1:
         raise UsageError(f"epochs must be at least 1, got {cfg.epochs}")
-    tasks = load_tasks_jsonl(args.data)
+    # every record decoded and the digest taken of the same bytes, which are
+    # not held through training
+    dataset = TaskFile(args.data)
+    tasks, digest = list(dataset), dataset.sha256()
+    del dataset
     meta_train = stage_tasks(tasks, "training", cfg.seed)
     # training's draws, tried on the shortest task before the run dir exists
     shortest = min(meta_train, key=lambda task: task.length)
@@ -149,7 +148,7 @@ def cmd_train(args):
         "seed": cfg.seed,
         # paths relative to the run dir, so that a run moves with its dataset
         "dataset": os.path.relpath(args.data, args.out),
-        "dataset_sha256": _sha256(args.data),
+        "dataset_sha256": digest,
         "checkpoint": os.path.basename(ckpt),
         "metrics_csv": os.path.basename(metrics),
     }
@@ -174,10 +173,13 @@ def _load_run(rundir):
         digest = manifest["dataset_sha256"]
     except KeyError as exc:
         raise UsageError(f"{manifest_path} has no {exc} entry") from exc
-    if _sha256(data) != digest:
+    # train decoded every record of the file with this digest, so records are
+    # decoded here only as they are read
+    dataset = TaskFile(data)
+    if dataset.sha256() != digest:
         raise OSError(f"{data} changed since training: its sha256 is not {manifest_path}'s")
     model, cfg = checkpoint_load(ckpt)
-    return model, cfg, load_tasks_jsonl(data)
+    return model, cfg, dataset
 
 
 def _aligned(rows):
@@ -186,9 +188,10 @@ def _aligned(rows):
 
 
 def cmd_eval(args):
-    model, cfg, tasks = _load_run(args.run)
-    s = EvalStage.draw(model, stage_tasks(tasks, args.stage, cfg.seed), args.stage, cfg,
-                       _seed_override(args.eval_seed))
+    model, cfg, dataset = _load_run(args.run)
+    tasks = stage_tasks(dataset, args.stage, cfg.seed)
+    del dataset  # the file's bytes are not held through the readouts
+    s = EvalStage.draw(model, tasks, args.stage, cfg, _seed_override(args.eval_seed))
     mse = rollout_mse(model, s)
     kls = kl_report(model, s)
     r2s = global_r2_table(s)
@@ -214,8 +217,8 @@ def cmd_eval(args):
 
 
 def cmd_rollout(args):
-    model, cfg, tasks = _load_run(args.run)
-    by_id = {t.task_id: t for t in tasks}
+    model, cfg, dataset = _load_run(args.run)
+    by_id = {t.task_id: t for t in dataset}
     if args.task not in by_id:
         raise UsageError(f"task {args.task} not in dataset")
     task = by_id[args.task]

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .artifacts import write_csv
 from .autodiff import Tensor
 from .model import ContextBatch
-from .physics import select_contexts, split_meta
+from .physics import select_contexts, split_indices
 from .training import TrainConfig, _chunks, _stack, draw_noise, overshoot, split_frames, task_means
 
 
@@ -97,9 +97,11 @@ def fit_poly_r2(features, target, degree, name=""):
 
 
 def stage_tasks(tasks, stage, seed):
-    """The side of the seeded meta split that a stage scores."""
-    meta_train, meta_test = split_meta(tasks, META_TRAIN_RATIO, seed)
-    return meta_test if STAGES[stage].meta_test else meta_train
+    """The side of the seeded meta split (split_meta's) that a stage scores.
+    Only that side is indexed, so of a physics.TaskFile only the stage's
+    records are decoded."""
+    side = split_indices(len(tasks), META_TRAIN_RATIO, seed)[STAGES[stage].meta_test]
+    return [tasks[i] for i in side]
 
 
 def stage_n_c(stage, run_n_c):
@@ -158,30 +160,39 @@ def rollout_mse(model, s):
 
     d=0 is recognize-and-decode (reconstruction); d>=1 rolls the latent mean
     forward d steps before decoding. Mean rollouts are deterministic, so each
-    start frame t-d is recognized and rolled D steps once, and distance d is
-    read at step d of its chain.
+    start frame t-d is recognized once and rolled only as far as its furthest
+    scored distance: with a chunk's starts ordered by that depth, deepest
+    first, step k transitions the prefix of starts read at k or later, and
+    distance d of frame t is read at step d of t-d's chain.
     """
     D = s.cfg.D
     sq_sums = np.zeros(D + 1)
     count = 0  # entries scored, the same at every distance
     for chunk in _scored_chunks(s):
         tasks, frames, r_c = zip(*chunk)
-        starts = [np.unique(f[None, :] - np.arange(D + 1)[:, None]) for f in frames]
-        sizes = [start.size for start in starts]
-        obs, rows = _stack(tasks, starts)
-        z = model.recognize(np.concatenate([obs[rows - 1], obs[rows]], axis=1)).mean
-        latents = [z.value]
-        if D >= 1:
-            dists, _ = model.rollout(z, Tensor(np.repeat(r_c, sizes, axis=0)), D, mode="mean")
-            latents.extend(dist.mean.value for dist in dists)
-        # decode only what is scored: distance d of frame t, at step d of t-d's chain
-        first = np.cumsum([0] + sizes[:-1])
-        read = [np.concatenate([lo + np.searchsorted(start, f - d)
-                                for lo, start, f in zip(first, starts, frames)])
-                for d in range(D + 1)]
+        obs, scored = _stack(tasks, frames)
+        n = scored.size
+        task_of = np.repeat(np.arange(len(tasks)), [f.size for f in frames])
+        # back[i, j]: the start of distance D-i of scored frame j, as a row of
+        # obs. Taken in row order, each start first appears at its depth, the
+        # largest distance it is read at, so that order is deepest first.
+        back = (scored[None, :] - np.arange(D, -1, -1)[:, None]).ravel()
+        _, first, inverse = np.unique(back, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)  # each start's place in that order
+        rank[order] = np.arange(order.size)
+        first = first[order]
+        starts, depth = back[first], D - first // n
+        r_c = np.stack(r_c)[task_of[first % n]]
+        latents = [model.recognize(np.concatenate([obs[starts - 1], obs[starts]],
+                                                  axis=1)).mean.value]
+        for k in range(1, D + 1):
+            rolled = np.count_nonzero(depth >= k)
+            latents.append(model.transition(Tensor(latents[-1][:rolled]),
+                                            Tensor(r_c[:rolled])).mean.value)
+        read = rank[inverse].reshape(D + 1, n)[::-1]  # read[d, j]: distance d of frame j
         pred = model.decode(Tensor(np.concatenate([latent[r] for latent, r in zip(latents, read)])))
-        err = (pred.value.reshape(D + 1, read[0].size, -1)
-               - np.concatenate([task.observations[f] for task, f in zip(tasks, frames)]))
+        err = pred.value.reshape(D + 1, n, -1) - obs[scored]
         sq_sums += np.sum(err ** 2, axis=(1, 2))
         count += err[0].size
     return MseTable(stage=s.name, mse=list(sq_sums / count))

@@ -79,8 +79,8 @@ class NeurPhyModel:
                 + self.decoder.parameters())
 
     def encode_context(self, ctx):
-        """Mean-aggregate per-pair encodings into r_c: shape (dim_r,) for a
-        ContextSet, and one row per set for a ContextBatch.
+        """Mean-aggregate per-pair encodings into r_c, one row per set of a
+        ContextBatch; a single ContextSet is a one-set batch.
 
         Each set's mean is taken over its sorted unique pairs weighted by their
         multiplicities, so its r_c is bit-identical under permutation of the
@@ -88,9 +88,10 @@ class NeurPhyModel:
         otherwise differ with the row count). A batch makes one encoder call
         over the unique pairs of all its sets.
         """
+        if not isinstance(ctx, ContextBatch):
+            ctx = ContextBatch.of([ctx])
         pairs = np.asarray(ctx.pairs, dtype=np.float64)
-        batch = isinstance(ctx, ContextBatch)
-        sizes = np.asarray(ctx.sizes if batch else [pairs.shape[0]])
+        sizes = np.asarray(ctx.sizes)
         if pairs.ndim != 2 or np.any(sizes < 1):
             raise EmptyContextError("context set must contain at least one pair")
         # each set's unique pairs in the order np.unique(axis=0) gives them
@@ -104,9 +105,7 @@ class NeurPhyModel:
         owner = owner[starts]
         codes = self.context_encoder(Tensor(pairs[starts]))
         weighted = ad.mul(codes, Tensor((counts / sizes[owner])[:, None]))
-        if batch:
-            return ad.segment_sum(weighted, np.bincount(owner, minlength=sizes.size))
-        return ad.tsum(weighted, axis=0)
+        return ad.segment_sum(weighted, np.bincount(owner, minlength=sizes.size))
 
     def recognize(self, x_pairs):
         """q(z_t | x_{t-1:t}) for a batch of stacked consecutive frames."""
@@ -116,10 +115,8 @@ class NeurPhyModel:
         return self.recognition_head(self.recognition_mlp(Tensor(x_pairs)))
 
     def transition(self, z, r_c):
-        """p(z_t | z_{t-1}, r_c); z is (B, dim_z). r_c is one task's 1-D r_c,
-        shared by every row, or (B, dim_r), one row per row of z."""
-        if r_c.value.ndim == 1:
-            r_c = ad.tile_rows(r_c, z.value.shape[0])
+        """p(z_t | z_{t-1}, r_c); z is (B, dim_z) and r_c (B, dim_r), one row
+        per row of z."""
         return self.transition_head(self.transition_mlp(ad.concat([z, r_c])))
 
     def decode(self, z):

@@ -6,8 +6,10 @@ ground-truth oracles for all learning and evaluation, so the update rules are
 kept exactly as stated -- no higher-order integrator.
 """
 
+import hashlib
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,17 +252,22 @@ def generate_task_grid(cfg):
     return tasks, skipped
 
 
-def split_meta(tasks, ratio, seed):
-    """Seeded shuffle then split into (meta_train, meta_test); disjoint, covering."""
+def split_indices(n, ratio, seed):
+    """Seeded shuffle of range(n) split into (meta_train, meta_test) index
+    arrays; disjoint, covering."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
-    order = np.random.default_rng(seed).permutation(len(tasks))
-    n_train = int(ratio * len(tasks))
-    if n_train == 0 or n_train == len(tasks):
-        raise DegenerateSplitError(f"split {ratio} leaves an empty side for {len(tasks)} tasks")
-    train = [tasks[i] for i in order[:n_train]]
-    test = [tasks[i] for i in order[n_train:]]
-    return train, test
+    order = np.random.default_rng(seed).permutation(n)
+    n_train = int(ratio * n)
+    if n_train == 0 or n_train == n:
+        raise DegenerateSplitError(f"split {ratio} leaves an empty side for {n} tasks")
+    return order[:n_train], order[n_train:]
+
+
+def split_meta(tasks, ratio, seed):
+    """Seeded shuffle then split into (meta_train, meta_test); disjoint, covering."""
+    train, test = split_indices(len(tasks), ratio, seed)
+    return [tasks[i] for i in train], [tasks[i] for i in test]
 
 
 def select_contexts(task, n_c, mode, seed):
@@ -319,13 +326,41 @@ def save_tasks_jsonl(tasks, path):
     write_atomic(path, "".join(task_to_json(task) + "\n" for task in tasks))
 
 
+class TaskFile(Sequence):
+    """A task JSONL file, read once: its bytes and where each record lies.
+
+    A record is a line that is not blank (whitespace only); blank lines are
+    skipped. Indexing decodes one record, so a reader decodes only the records
+    it takes, and a record that does not decode raises CorruptDatasetError
+    naming the file and its line.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as f:
+            self.data = f.read()
+        self._records = []  # (start, end, line number) per record
+        start, number = 0, 1
+        while start < len(self.data):
+            end = self.data.find(b"\n", start)
+            end = len(self.data) if end < 0 else end
+            if self.data[start:end].strip():
+                self._records.append((start, end, number))
+            start, number = end + 1, number + 1
+
+    def __len__(self):
+        return len(self._records)
+
+    def __getitem__(self, i):
+        start, end, number = self._records[i]
+        try:
+            return task_from_json(self.data[start:end])
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise CorruptDatasetError(f"{self.path}, line {number}: {exc!r}") from exc
+
+    def sha256(self):
+        return hashlib.sha256(self.data).hexdigest()
+
+
 def load_tasks_jsonl(path):
-    tasks = []
-    with open(path, "rb") as f:
-        for number, line in enumerate(f, 1):
-            try:
-                if line.strip():
-                    tasks.append(task_from_json(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptDatasetError(f"{path}, line {number}: {exc!r}") from exc
-    return tasks
+    return list(TaskFile(path))

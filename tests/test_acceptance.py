@@ -123,7 +123,7 @@ def test_autodiff_primitives_and_networks():
         def through_model(t):
             q = model.recognition_head(model.recognition_mlp(t))
             z = q.mean
-            p = model.transition(z, Tensor(r_c))
+            p = model.transition(z, Tensor(np.tile(r_c, (3, 1))))
             out = model.decode(p.mean)
             return ad.tsum(ad.add(ad.tsum(out), ad.tsum(q.std)))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -6,10 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
-from neurphy import evaluation
+from neurphy import cli, evaluation, physics
 from neurphy.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
-from neurphy.evaluation import stage_tasks
-from neurphy.physics import load_tasks_jsonl
+from neurphy.evaluation import STAGES, stage_tasks
+from neurphy.physics import load_tasks_jsonl, task_from_json
 from neurphy.training import checkpoint_load, checkpoint_save
 
 
@@ -391,3 +392,83 @@ def test_eval_manifest_missing_key_is_usage_error(small_tree):
     path.write_text(json.dumps(manifest))
     assert run(["eval", "--run", str(small_tree / "run"),
                 "--stage", "training"]) == EXIT_USAGE
+
+
+@pytest.fixture(scope="module")
+def grid_run(tmp_path_factory):
+    """A 25-task dataset, whose meta split leaves 3 meta-test tasks, and a run
+    trained on it."""
+    tree = tmp_path_factory.mktemp("grid")
+    data, out = tree / "pend.jsonl", tree / "run"
+    assert run(["generate", "--system", "pendulum", "--out", str(data),
+                "--l", "1:3:5", "--m", "1:4:5", "--T", "24"]) == 0
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "1",
+                "--epochs", "1", "--batch-tasks", "11", "--n-c", "4", "--dim-z", "2",
+                "--dim-r", "2"]) == 0
+    return data, out
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_eval_reads_once_and_decodes_only_its_stage(grid_run, stage, monkeypatch):
+    data, out = grid_run
+    tasks = load_tasks_jsonl(data)
+    seed = json.loads((out / "manifest.json").read_text())["config"]["seed"]
+    csvs = [out / f"{kind}_{stage}.csv" for kind in ("mse", "kl", "r2")]
+    # what eval writes for an EvalStage drawn from every decoded task
+    monkeypatch.setattr(cli, "stage_tasks", lambda dataset, *rest: stage_tasks(tasks, *rest))
+    assert run(["eval", "--run", str(out), "--stage", stage]) == 0
+    want = [p.read_bytes() for p in csvs]
+    monkeypatch.undo()
+
+    decoded, opened = [], []
+    monkeypatch.setattr(physics, "task_from_json",
+                        lambda line: decoded.append(line) or task_from_json(line))
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.exists(file) \
+                and os.path.samefile(file, data):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert run(["eval", "--run", str(out), "--stage", stage]) == 0
+    monkeypatch.undo()
+    assert len(decoded) == len(stage_tasks(tasks, stage, seed))
+    assert len(decoded) == (3 if STAGES[stage].meta_test else 22)
+    assert len(opened) == 1
+    assert [p.read_bytes() for p in csvs] == want
+
+
+def test_train_records_the_digest_of_what_it_decoded(dataset, tmp_path, monkeypatch):
+    data = tmp_path / "pend.jsonl"
+    shutil.copy(dataset, data)
+    decoded = data.read_bytes()
+    train = cli.train
+
+    def edit_then_train(*args, **kwargs):
+        data.write_bytes(decoded + b"\n")  # the same records, other bytes
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", edit_then_train)
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "1",
+                "--epochs", "1", "--n-c", "4", "--dim-z", "2", "--dim-r", "2"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dataset_sha256"] == hashlib.sha256(decoded).hexdigest()
+    assert run(["eval", "--run", str(out), "--stage", "training"]) == EXIT_IO
+
+
+def test_train_corrupt_line_is_usage_error(dataset, tmp_path, capsys):
+    # record 1 is the one meta-test task at seed 0, which train does not
+    # train on but decodes all the same
+    assert stage_tasks(list(range(9)), "metatest2", 0) == [1]
+    lines = dataset.read_bytes().split(b"\n")
+    lines[1] = lines[1][:100]
+    data = tmp_path / "pend.jsonl"
+    data.write_bytes(b"\n".join(lines))
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "1",
+                "--epochs", "1", "--n-c", "4"]) == EXIT_USAGE
+    assert f"{data}, line 2:" in capsys.readouterr().err
+    assert not out.exists()

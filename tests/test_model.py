@@ -27,7 +27,7 @@ def _ctx_from_pairs(pairs):
 def test_encode_context_single_pair(model):
     pair = np.array([[0.1, -0.2, 0.3, 0.4]])
     r1 = model.encode_context(_ctx_from_pairs(pair))
-    code = model.context_encoder(Tensor(pair)).value[0]
+    code = model.context_encoder(Tensor(pair)).value
     assert np.array_equal(r1.value, code)
 
 
@@ -107,7 +107,7 @@ def test_recognize_gradcheck(model):
 
 def test_transition_deterministic_and_floored(model):
     z = Tensor(np.random.default_rng(5).normal(size=(3, 2)))
-    r = Tensor(np.array([0.1, -0.4]))
+    r = Tensor(np.tile([0.1, -0.4], (3, 1)))
     g1 = model.transition(z, r)
     g2 = model.transition(z, r)
     assert np.array_equal(g1.mean.value, g2.mean.value)
@@ -115,7 +115,7 @@ def test_transition_deterministic_and_floored(model):
 
 
 def test_transition_gradcheck_wrt_z(model):
-    r = Tensor(np.array([0.1, -0.4]))
+    r = Tensor(np.tile([0.1, -0.4], (2, 1)))
 
     def f(t):
         g = model.transition(t, r)
@@ -137,7 +137,7 @@ def test_decode_pure_and_gradcheck(model):
 
 def test_rollout_single_step_equals_transition(model):
     z = Tensor(np.random.default_rng(8).normal(size=(2, 2)))
-    r = Tensor(np.array([0.3, 0.2]))
+    r = Tensor(np.tile([0.3, 0.2], (2, 1)))
     dists, z_next = model.rollout(z, r, 1, mode="mean")
     direct = model.transition(z, r)
     assert len(dists) == 1
@@ -147,7 +147,7 @@ def test_rollout_single_step_equals_transition(model):
 
 def test_rollout_mean_deterministic(model):
     z = Tensor(np.random.default_rng(9).normal(size=(2, 2)))
-    r = Tensor(np.array([0.3, 0.2]))
+    r = Tensor(np.tile([0.3, 0.2], (2, 1)))
     d1, _ = model.rollout(z, r, 4, mode="mean")
     d2, _ = model.rollout(z, r, 4, mode="mean")
     for a, b in zip(d1, d2):
@@ -156,7 +156,7 @@ def test_rollout_mean_deterministic(model):
 
 def test_rollout_sample_reproducible_with_seed(model):
     z = Tensor(np.random.default_rng(10).normal(size=(2, 2)))
-    r = Tensor(np.array([0.3, 0.2]))
+    r = Tensor(np.tile([0.3, 0.2], (2, 1)))
     d1, _ = model.rollout(z, r, 3, mode="sample", rng=np.random.default_rng(42))
     d2, _ = model.rollout(z, r, 3, mode="sample", rng=np.random.default_rng(42))
     for a, b in zip(d1, d2):

@@ -23,7 +23,7 @@ def loop_elbo_loss(model, task, ctx, targets, cfg, rng):
     """Reference: one recognize per overshoot d and d transitions per chain."""
     targets = np.asarray(targets)
     obs = task.observations
-    r_c = model.encode_context(ctx)
+    r_c = ad.take_rows(model.encode_context(ctx), np.zeros(targets.size, dtype=int))
 
     q_now = model.recognize(np.concatenate([obs[targets - 1], obs[targets]], axis=1))
     z_now = reparameterize(q_now, rng.standard_normal(q_now.mean.value.shape))
@@ -70,7 +70,7 @@ def loop_rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
         if frames.size == 0:
             continue
         ctx = context_for_stage(task, stage, n_c, seed)
-        r_c = model.encode_context(ctx)
+        r_c = ad.take_rows(model.encode_context(ctx), np.zeros(frames.size, dtype=int))
         obs = task.observations
         for d in range(D + 1):
             pairs = np.concatenate([obs[frames - d - 1], obs[frames - d]], axis=1)
@@ -99,8 +99,8 @@ def loop_kl_report(model, tasks, stage, cfg, seed=0):
 
 def loop_r2_features(model, tasks, n_c, seed, stage):
     """Reference: one encode_context call per task."""
-    return np.stack([model.encode_context(context_for_stage(task, stage, n_c, seed)).value
-                     for task in tasks])
+    return np.concatenate([model.encode_context(context_for_stage(task, stage, n_c, seed)).value
+                           for task in tasks])
 
 
 def loop_export_manifold(model, tasks, global_path, state_path, n_c, seed, stage):
@@ -108,7 +108,7 @@ def loop_export_manifold(model, tasks, global_path, state_path, n_c, seed, stage
     keys = list(tasks[0].globals.keys())
     r_cs, zs = [], []
     for task in tasks:
-        r_cs.append(model.encode_context(context_for_stage(task, stage, n_c, seed)).value)
+        r_cs.append(model.encode_context(context_for_stage(task, stage, n_c, seed)).value[0])
         obs = task.observations
         zs.append(model.recognize(np.concatenate([obs[:-1], obs[1:]], axis=1)).mean.value)
     write_csv(global_path, [f"r_c_{i}" for i in range(model.cfg.dim_r)] + keys,
@@ -223,6 +223,48 @@ def test_rollout_mse_matches_loop(tasks, stage, D):
                             seed=4)
     assert len(table.mse) == D + 1
     assert close(table.mse, want)
+
+
+def untrimmed_rollout_mse(model, s):
+    """Reference: each task's start frames recognized once and every one
+    rolled all D steps."""
+    D = s.cfg.D
+    sq_sums, count = np.zeros(D + 1), 0
+    for task, frames, r_c in zip(s.tasks, s.frames, s.r_c):
+        obs = task.observations
+        starts = np.unique(frames[None, :] - np.arange(D + 1)[:, None])
+        z = model.recognize(np.concatenate([obs[starts - 1], obs[starts]], axis=1)).mean
+        latents = [z.value]
+        if D >= 1:
+            dists, _ = model.rollout(z, ad.Tensor(np.tile(r_c, (starts.size, 1))), D)
+            latents.extend(dist.mean.value for dist in dists)
+        for d, latent in enumerate(latents):
+            pred = model.decode(ad.Tensor(latent[np.searchsorted(starts, frames - d)])).value
+            sq_sums[d] += np.sum((pred - obs[frames]) ** 2)
+        count += obs[frames].size
+    return sq_sums / count
+
+
+def test_rollout_mse_rolls_each_start_only_as_far_as_scored(tasks, monkeypatch):
+    model, n_c = stage_model("test")
+    cfg = TrainConfig(D=3, n_c=n_c, target_fraction=0.8, model=model.cfg)
+    s = EvalStage.draw(model, tasks, "test", cfg, 4)
+    want = untrimmed_rollout_mse(model, s)
+    # a start's depth is the largest distance d at which start + d is scored
+    needed = untrimmed = 0
+    for frames in s.frames:
+        scored = set(frames.tolist())
+        starts = {t - d for t in scored for d in range(cfg.D + 1)}
+        needed += sum(max(d for d in range(cfg.D + 1) if start + d in scored)
+                      for start in starts)
+        untrimmed += cfg.D * len(starts)
+    rows = []
+    transition = model.transition
+    monkeypatch.setattr(model, "transition",
+                        lambda z, r_c: rows.append(z.value.shape[0]) or transition(z, r_c))
+    got = rollout_mse(model, s).mse
+    assert sum(rows) == needed < untrimmed
+    assert close(got, want)
 
 
 def stage_model(stage):

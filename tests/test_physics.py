@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neurphy import physics
@@ -12,7 +13,7 @@ from neurphy.physics import (ContextSet, CorruptDatasetError, InfeasibleContextE
                              OrbitGridConfig,
                              OrbitInit, OrbitParams, OrbitState,
                              PendulumGridConfig, PendulumParams, PendulumState,
-                             UnboundOrbitError, generate_task_grid,
+                             TaskFile, UnboundOrbitError, generate_task_grid,
                              load_tasks_jsonl, orbit_params_from_init, orbit_step,
                              orbit_trajectory, pendulum_endpoint, pendulum_step,
                              pendulum_trajectory, save_tasks_jsonl,
@@ -252,8 +253,9 @@ def _edited(record, **changes):
     lambda r: _edited(r, states=[r["states"][0], r["states"][1][:1]]),
     lambda r: "[1, 2]",
     lambda r: "{not json",
+    lambda r: _edited(r, states=[[10 ** 400, 0]] * len(r["states"])),
 ], ids=["empty", "missing key", "1-D states", "unequal rows", "one row", "ragged",
-        "not an object", "not JSON"])
+        "not an object", "not JSON", "no float64"])
 def test_jsonl_corrupt_record_names_file_and_line(jsonl, edit):
     raw, record, path = jsonl
     path.write_bytes(raw + edit(record).encode() + b"\n")
@@ -273,6 +275,50 @@ def test_jsonl_truncated_loads_whole_records_or_is_corrupt(jsonl, data):
         return
     # every record whose closing brace the cut keeps, and no other
     assert [t.task_id for t in loaded] == list(range(raw[:cut + 1].count(b"\n")))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_jsonl_damaged_record_decodes_or_is_corrupt_at_its_line(jsonl, data):
+    """A record with flipped bits or cut short, after some blank lines, still
+    decodes or raises CorruptDatasetError naming its own line; nothing else."""
+    raw, _, path = jsonl
+    records = raw.split(b"\n")[:-1]
+    k = data.draw(st.integers(0, len(records) - 1), label="record")
+    line = bytearray(records[k])
+    if data.draw(st.booleans(), label="cut"):
+        del line[data.draw(st.integers(1, len(line) - 1)):]
+    else:
+        for _ in range(data.draw(st.integers(1, 4))):
+            line[data.draw(st.integers(0, len(line) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    assume(b"\n" not in line)
+    records[k] = bytes(line)
+    blanks = data.draw(st.sampled_from([b"", b"\n", b" \t\n\n"]), label="blank lines")
+    path.write_bytes(blanks + b"\n".join(records) + b"\n")
+    number = blanks.count(b"\n") + k + 1
+    try:
+        loaded = load_tasks_jsonl(path)
+    except CorruptDatasetError as exc:
+        assert str(exc).startswith(f"{path}, line {number}: ")
+        return
+    assert len(loaded) == len(records)
+
+
+def test_task_file_decodes_records_on_demand(jsonl, monkeypatch):
+    raw, _, path = jsonl
+    path.write_bytes(b"\n  \n" + raw.replace(b"\n", b"\n\n", 1))
+    dataset = TaskFile(path)
+    assert len(dataset) == 4
+    decoded = []
+    task_from_json = physics.task_from_json
+    monkeypatch.setattr(physics, "task_from_json",
+                        lambda line: decoded.append(line) or task_from_json(line))
+    assert [dataset[i].task_id for i in (3, -4)] == [3, 0]
+    assert len(decoded) == 2
+    assert [t.task_id for t in dataset] == [0, 1, 2, 3]
+    assert dataset.sha256() == hashlib.sha256(path.read_bytes()).hexdigest()
+    with pytest.raises(IndexError):
+        dataset[4]
 
 
 @given(st.floats(0.5, 3.0), st.floats(-0.3, 0.3), st.floats(0.4, 0.9))
