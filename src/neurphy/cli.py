@@ -218,10 +218,10 @@ def cmd_eval(args):
 
 def cmd_rollout(args):
     model, cfg, dataset = _load_run(args.run)
-    by_id = {t.task_id: t for t in dataset}
-    if args.task not in by_id:
+    # the first record with the id; generated datasets have unique ids
+    task = next((t for t in dataset if t.task_id == args.task), None)
+    if task is None:
         raise UsageError(f"task {args.task} not in dataset")
-    task = by_id[args.task]
     seed = _seed_override(args.eval_seed)
     # the run's n_c contexts from the sequence prefix, as the meta-test stages draw them
     ctx = context_for_stage(task, "metatest20", cfg.n_c, seed)

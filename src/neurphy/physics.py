@@ -310,8 +310,21 @@ def task_to_json(task):
             "}")
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+
+
 def task_from_json(line):
     d = json.loads(line)
+    if not (_is_int(d["task_id"]) and _is_int(d["seed"]) and isinstance(d["system"], str)
+            and _is_real(d["dt"]) and isinstance(d["globals"], dict)
+            and all(_is_real(v) for v in d["globals"].values())):
+        raise ValueError("task_id and seed must be integers, system a string, and dt and "
+                         "every globals value finite numbers")
     task = Task(task_id=d["task_id"], system=d["system"], globals=d["globals"],
                 states=np.asarray(d["states"], dtype=np.float64),
                 observations=np.asarray(d["observations"], dtype=np.float64),

@@ -157,6 +157,24 @@ def test_rollout_out_of_range(rundir, tmp_path):
     assert rc == EXIT_USAGE
 
 
+def test_rollout_decodes_only_until_its_task(grid_run, tmp_path, monkeypatch, capsys):
+    data, out = grid_run
+    decoded = []
+    monkeypatch.setattr(physics, "task_from_json",
+                        lambda line: decoded.append(line) or task_from_json(line))
+    for task_id, want in ((0, 1), (5, 6)):
+        decoded.clear()
+        assert run(["rollout", "--run", str(out), "--task", str(task_id), "--start", "3",
+                    "--horizon", "5", "--out", str(tmp_path / "roll.csv")]) == 0
+        assert len(decoded) == want
+    decoded.clear()
+    assert run(["rollout", "--run", str(out), "--task", "99", "--start", "3",
+                "--horizon", "5", "--out", str(tmp_path / "none.csv")]) == EXIT_USAGE
+    assert "task 99 not in dataset" in capsys.readouterr().err
+    assert len(decoded) == 25
+    assert not (tmp_path / "none.csv").exists()
+
+
 @pytest.mark.parametrize("start,horizon", [("10", "-5"), ("3", "-1")])
 def test_rollout_rejects_bad_window(rundir, tmp_path, start, horizon):
     out = tmp_path / "x.csv"
@@ -465,6 +483,35 @@ def test_train_corrupt_line_is_usage_error(dataset, tmp_path, capsys):
     assert stage_tasks(list(range(9)), "metatest2", 0) == [1]
     lines = dataset.read_bytes().split(b"\n")
     lines[1] = lines[1][:100]
+    data = tmp_path / "pend.jsonl"
+    data.write_bytes(b"\n".join(lines))
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "1",
+                "--epochs", "1", "--n-c", "4"]) == EXIT_USAGE
+    assert f"{data}, line 2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("globals", [1.0, 2.0]),
+    ("globals", {"l": "1.0"}),
+    ("globals", {"l": True}),
+    ("globals", {"l": float("nan")}),
+    ("dt", "0.1"),
+    ("dt", float("inf")),
+    ("dt", None),
+    ("task_id", 1.0),
+    ("task_id", True),
+    ("seed", "0"),
+    ("system", 1),
+], ids=["globals list", "globals string value", "globals bool value", "globals nan",
+        "dt string", "dt inf", "dt null", "task_id float", "task_id bool", "seed string",
+        "system number"])
+def test_train_mistyped_record_is_usage_error(dataset, tmp_path, capsys, field, value):
+    lines = dataset.read_bytes().split(b"\n")
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record).encode()
     data = tmp_path / "pend.jsonl"
     data.write_bytes(b"\n".join(lines))
     out = tmp_path / "run"

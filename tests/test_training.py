@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+import types
 import zlib
 
 import numpy as np
@@ -8,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neurphy
+from neurphy import training
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.physics import (DegenerateSplitError, PendulumParams,
                              pendulum_trajectory, select_contexts)
 from neurphy.training import (CheckpointError, CorruptCheckpointError, FormatVersionMismatchError,
                               LossBreakdown, TrainConfig, checkpoint_load,
-                              checkpoint_save, elbo_loss, split_frames, train,
-                              write_metrics_csv)
+                              checkpoint_save, elbo_loss, keep_freed_heap, split_frames,
+                              train, write_metrics_csv)
 
 
 def tiny_model_config():
@@ -128,6 +134,55 @@ def test_train_same_seed_identical_history():
     _, h2 = train(_tasks(), cfg)
     assert [b.total for b in h1] == [b.total for b in h2]
     assert [b.kl for b in h1] == [b.kl for b in h2]
+
+
+def test_keep_freed_heap_is_safe_twice(monkeypatch):
+    keep_freed_heap()
+    keep_freed_heap()
+    cfg = tiny_train_config(epochs=2)
+    _, h1 = train(_tasks(), cfg)
+    _, h2 = train(_tasks(), cfg)
+    assert [b.total for b in h1] == [b.total for b in h2]
+
+    calls = []
+    monkeypatch.setattr(training, "_libc_mallopt", lambda: lambda *args: calls.append(args))
+    keep_freed_heap()
+    keep_freed_heap()
+    assert calls == 2 * [(training.M_TRIM_THRESHOLD, 64 << 20),
+                         (training.M_MMAP_THRESHOLD, 32 << 20)]
+
+
+def test_keep_freed_heap_without_mallopt(monkeypatch):
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert training._libc_mallopt() is None
+    keep_freed_heap()
+    _, history = train(_tasks(), tiny_train_config(epochs=1))
+    assert len(history) == 1
+
+
+FAULTS_SCRIPT = """
+import resource
+from neurphy.physics import PendulumGridConfig, generate_task_grid
+from neurphy.training import TrainConfig, train
+tasks, _ = generate_task_grid(PendulumGridConfig(l_count=1, m_count=2, T=101))
+train(tasks, TrainConfig(D=5, batch_tasks=2, epochs=1))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(tasks, TrainConfig(D=5, batch_tasks=2, epochs=5))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(training._libc_mallopt() is None, reason="the C library has no mallopt")
+def test_repeated_train_does_not_fault_its_heap_back_in():
+    # a fresh interpreter, so no earlier test has set the allocator policy;
+    # without it these 5 steps fault ~7,500 times
+    src = os.path.dirname(os.path.dirname(neurphy.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout.strip()) < 1000
 
 
 def test_metrics_csv_schema(tmp_path):
