@@ -73,16 +73,24 @@ def _seed_override(seed):
 def _read_config(path):
     cp = configparser.ConfigParser()
     if path:
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise UsageError(f"config file not found: {path}")
-        cp.read(path)
+        try:
+            with open(path) as f:
+                cp.read_file(f)
+        except configparser.Error as exc:
+            raise UsageError(f"bad config file {path}: {exc}") from exc
     return cp
 
 
 def _settings(args, cp, section, fields):
     """Each field's flag if given, else its INI key if present; fields set by
-    neither are left out."""
+    neither are left out. A key of the section that is no field's is a
+    UsageError."""
     sec = cp[section] if cp.has_section(section) else {}
+    unknown = sorted(set(sec) - {name.lower() for name in fields})
+    if unknown:
+        raise UsageError(f"{args.config}: unknown key {', '.join(unknown)} in [{section}]")
     out = {}
     for name, cast in fields.items():
         if getattr(args, name) is not None:
@@ -96,14 +104,17 @@ def cmd_generate(args):
     cls = PendulumGridConfig if args.system == "pendulum" else OrbitGridConfig
     names = {f.name for f in dataclasses.fields(cls)}
     kw = _settings(args, _read_config(args.config), "grid", GRID_FIELDS)
+    foreign = [k for k in kw if k not in names and f"{k}_range" not in names]
+    if foreign:
+        raise UsageError(f"{args.system} has no setting {', '.join(foreign)}")
     for axis in [k for k in kw if f"{k}_range" in names]:
         kw[f"{axis}_range"], kw[f"{axis}_count"] = _parse_axis(kw.pop(axis), axis)
-    cfg = cls(**{k: v for k, v in kw.items() if k in names})
+    cfg = cls(**kw)
     cfg.seed = _seed_override(cfg.seed)
     tasks, skipped = generate_task_grid(cfg)
     save_tasks_jsonl(tasks, args.out)
-    print(f"wrote {len(tasks)} tasks to {args.out} "
-          f"({skipped} unbound orbit points skipped)")
+    print(f"wrote {len(tasks)} tasks to {args.out}"
+          + (f" ({skipped} unbound orbit points skipped)" if args.system == "orbit" else ""))
     return 0
 
 

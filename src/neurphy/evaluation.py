@@ -160,10 +160,9 @@ def rollout_mse(model, s):
 
     d=0 is recognize-and-decode (reconstruction); d>=1 rolls the latent mean
     forward d steps before decoding. Mean rollouts are deterministic, so each
-    start frame t-d is recognized once and rolled only as far as its furthest
-    scored distance: with a chunk's starts ordered by that depth, deepest
-    first, step k transitions the prefix of starts read at k or later, and
-    distance d of frame t is read at step d of t-d's chain.
+    start frame t-d is one chain of model.mean_chains, rolled only as far as
+    its furthest scored distance, and distance d of frame t is read at step d
+    of t-d's chain.
     """
     D = s.cfg.D
     sq_sums = np.zeros(D + 1)
@@ -183,13 +182,8 @@ def rollout_mse(model, s):
         rank[order] = np.arange(order.size)
         first = first[order]
         starts, depth = back[first], D - first // n
-        r_c = np.stack(r_c)[task_of[first % n]]
-        latents = [model.recognize(np.concatenate([obs[starts - 1], obs[starts]],
-                                                  axis=1)).mean.value]
-        for k in range(1, D + 1):
-            rolled = np.count_nonzero(depth >= k)
-            latents.append(model.transition(Tensor(latents[-1][:rolled]),
-                                            Tensor(r_c[:rolled])).mean.value)
+        latents = model.mean_chains(np.concatenate([obs[starts - 1], obs[starts]], axis=1),
+                                    np.stack(r_c)[task_of[first % n]], depth)
         read = rank[inverse].reshape(D + 1, n)[::-1]  # read[d, j]: distance d of frame j
         pred = model.decode(Tensor(np.concatenate([latent[r] for latent, r in zip(latents, read)])))
         err = pred.value.reshape(D + 1, n, -1) - obs[scored]

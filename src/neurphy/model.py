@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import MLP, GaussianHead, reparameterize
+from .nn import MLP, GaussianHead
 
 
 class EmptyContextError(Exception):
@@ -123,22 +123,19 @@ class NeurPhyModel:
         """Observation mean; identity output since coordinates are unbounded."""
         return self.decoder(z)
 
-    def rollout(self, z0, r_c, steps, mode="mean", rng=None):
-        """Iterate the transition; mean mode feeds the mean forward, sample
-        mode reparameterizes at each step. Returns (dists, z_inputs)."""
-        if steps < 1:
-            raise ValueError("rollout needs steps >= 1")
-        dists, z = [], z0
-        for _ in range(steps):
-            dist = self.transition(z, r_c)
-            dists.append(dist)
-            if mode == "mean":
-                z = dist.mean
-            elif mode == "sample":
-                z = reparameterize(dist, rng.standard_normal(dist.mean.value.shape))
-            else:
-                raise ValueError(f"unknown rollout mode {mode!r}")
-        return dists, z
+    @ad.no_grad()
+    def mean_chains(self, pairs, r_c, depth):
+        """Recognize row i of the frame pairs and roll its latent mean depth[i]
+        transitions under r_c[i]. Rows come deepest first, so the chains still
+        rolling at step k are a prefix. Returns each step's means: element 0
+        has every row, element k those of the chains of depth k or more."""
+        depth = np.asarray(depth)
+        latents = [self.recognize(pairs).mean.value]
+        for k in range(1, depth.max() + 1):
+            rolled = np.count_nonzero(depth >= k)
+            latents.append(self.transition(Tensor(latents[-1][:rolled]),
+                                           Tensor(r_c[:rolled])).mean.value)
+        return latents
 
     @ad.no_grad()
     def predict_observations(self, task, ctx, start_t, horizon):
@@ -148,11 +145,6 @@ class NeurPhyModel:
         if horizon < 0 or start_t < 1 or start_t + horizon > task.length - 1:
             raise OutOfRangeError(f"window [{start_t}, {start_t + horizon}] "
                                   f"outside task of length {task.length}")
-        r_c = self.encode_context(ctx)
         pair = np.concatenate([task.observations[start_t - 1], task.observations[start_t]])
-        z = self.recognize(pair[None, :]).mean
-        latents = [z.value]
-        if horizon >= 1:
-            dists, _ = self.rollout(z, r_c, horizon, mode="mean")
-            latents.extend(d.mean.value for d in dists)
+        latents = self.mean_chains(pair[None, :], self.encode_context(ctx).value, [horizon])
         return self.decode(Tensor(np.concatenate(latents))).value

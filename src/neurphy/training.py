@@ -153,28 +153,18 @@ def task_means(values, sizes):
     return np.array([values[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
+def _noise_block(d):
+    """draw_noise's block of chain d's recognized draw."""
+    return 1 + d * (d - 1) // 2
+
+
 def draw_noise(rng, n, D, dim_z):
-    """One task's reparameterization noise for n target frames, drawn in the
-    order and shapes of the per-d loop: q_now's, then per d the recognized
-    draw and its d-1 step draws. Returns (recognized, steps): recognized[d]
-    and steps[d, k] for k = 1..d-1."""
-    shape = (n, dim_z)
-    recognized, steps = [rng.standard_normal(shape)], {}
-    for d in range(1, D + 1):
-        recognized.append(rng.standard_normal(shape))
-        for k in range(1, d):
-            steps[d, k] = rng.standard_normal(shape)
-    return recognized, steps
-
-
-def _stack_noise(noises, D):
-    """Several tasks' draw_noise in the row order of overshoot: the noise of
-    the recognize rows, and per step k < D the noise of the chains d = D..k+1
-    that it carries."""
-    recognized = np.concatenate([rec[d] for d in (0, *range(D, 0, -1)) for rec, _ in noises])
-    carried = [np.concatenate([steps[d, k] for d in range(D, k, -1) for _, steps in noises])
-               for k in range(1, D)]
-    return recognized, carried
+    """One task's reparameterization noise for n target frames: one (n, dim_z)
+    block per draw of the per-d loop, in its order. Block 0 is q_now's, and
+    chain d's recognized draw and its d-1 step draws are blocks
+    _noise_block(d) + k, k = 0..d-1. One call gives the values, and leaves
+    rng in the state, that those draws made one by one would."""
+    return rng.standard_normal((_noise_block(D + 1), n, dim_z))
 
 
 def overshoot(model, obs, targets, r_c, cfg, noises, sizes):
@@ -200,12 +190,13 @@ def overshoot(model, obs, targets, r_c, cfg, noises, sizes):
     the unweighted KL of every target row.
     """
     n, D = targets.size, cfg.D
-    recognized_noise, carried_noise = _stack_noise(noises, D)
+    noise = np.concatenate(noises, axis=1)  # each block's rows task by task
     owner = np.repeat(np.arange(len(sizes)), sizes)
 
     back = np.concatenate([targets[None, :], targets - np.arange(D, 0, -1)[:, None]]).ravel()
     q_all = model.recognize(np.concatenate([obs[back - 1], obs[back]], axis=1))
-    z_all = reparameterize(q_all, recognized_noise)
+    z_all = reparameterize(q_all, noise[[0, *map(_noise_block, range(D, 0, -1))]]
+                           .reshape((D + 1) * n, -1))
     q_now = _rows(q_all, 0, n)
 
     kl_rows = []
@@ -216,7 +207,9 @@ def overshoot(model, obs, targets, r_c, cfg, noises, sizes):
         carried = (D - k) * n  # rows of chains d = D..k+1
         kl_rows.append(kl_diag_gauss(q_now, _rows(dist, carried, carried + n)))
         if k < D:
-            z = reparameterize(_rows(dist, 0, carried), carried_noise[k - 1])
+            z = reparameterize(_rows(dist, 0, carried),
+                               noise[[_noise_block(d) + k for d in range(D, k, -1)]]
+                               .reshape(carried, -1))
     return ad.slice_rows(z_all, 0, n), kl_rows
 
 
@@ -318,7 +311,7 @@ def keep_freed_heap():
         mallopt(M_MMAP_THRESHOLD, 32 << 20)
 
 
-def train(tasks, cfg, model=None, checkpoint_path=None, on_epoch=None):
+def train(tasks, cfg, checkpoint_path=None):
     """Run the optimization loop; returns (model, per-epoch LossBreakdown history).
 
     Contexts and target frames are freshly drawn each epoch. All randomness
@@ -331,8 +324,7 @@ def train(tasks, cfg, model=None, checkpoint_path=None, on_epoch=None):
         raise ValueError("need at least one task")
     keep_freed_heap()
     rng = np.random.default_rng(cfg.seed)
-    if model is None:
-        model = NeurPhyModel(cfg.model, rng)
+    model = NeurPhyModel(cfg.model, rng)
     opt = Adam(model.parameters(), lr=cfg.lr)
     history = []
     try:
@@ -350,8 +342,6 @@ def train(tasks, cfg, model=None, checkpoint_path=None, on_epoch=None):
                     for d in range(cfg.D)],
                 total=float(np.mean([b.total for b in breakdowns])),
             ))
-            if on_epoch is not None:
-                on_epoch(epoch, history[-1])
             if checkpoint_path and cfg.checkpoint_every > 0 \
                     and (epoch + 1) % cfg.checkpoint_every == 0:
                 checkpoint_save(model, cfg, checkpoint_path)

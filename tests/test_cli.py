@@ -80,6 +80,76 @@ def test_generate_config_file(tmp_path):
     assert len(tasks) == 4 and tasks[0].length == 12
 
 
+@pytest.mark.parametrize("system,extra,ini", [
+    ("orbit", ["--l", "1:3:5"], ""),
+    ("pendulum", ["--GM", "5"], ""),
+    ("orbit", [], "[grid]\nm = 1:4:2\n"),
+    ("pendulum", [], "[grid]\nr0 = 1:2:3\n"),
+], ids=["orbit-flag", "pendulum-flag", "orbit-ini", "pendulum-ini"])
+def test_generate_rejects_settings_the_system_lacks(tmp_path, capsys, system, extra, ini):
+    cfgfile = tmp_path / "grid.ini"
+    cfgfile.write_text(ini)
+    path = tmp_path / "x.jsonl"
+    rc = run(["generate", "--system", system, "--out", str(path), "--config", str(cfgfile)]
+             + extra)
+    assert rc == EXIT_USAGE
+    assert not path.exists()
+    name = extra[0][2:] if extra else ini.split()[1]
+    assert f"{system} has no setting {name}" in capsys.readouterr().err
+
+
+def test_generate_prints_skipped_count_only_for_orbit(tmp_path, capsys):
+    assert run(["generate", "--system", "pendulum", "--out", str(tmp_path / "p.jsonl"),
+                "--l", "1:3:2", "--m", "1:4:2", "--T", "12"]) == 0
+    assert "unbound orbit points skipped" not in capsys.readouterr().out
+    assert run(["generate", "--system", "orbit", "--out", str(tmp_path / "o.jsonl"),
+                "--r0", "1.5:2:2", "--v0r", "0:0.2:2", "--v0t", "0.7:0.8:2",
+                "--T", "12"]) == 0
+    assert "unbound orbit points skipped" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "config file not found"),
+    ("l = 1:3:2\n", "no section headers"),
+    ("[grid]\nl = 1:3:2\nL = 1:3:3\n", "already exists"),
+    ("[grid]\nl = 1:3:2\nwidth = 3\n", "unknown key width in [grid]"),
+], ids=["directory", "no-section", "duplicate-key", "unknown-key"])
+def test_generate_rejects_bad_config(tmp_path, capsys, text, message):
+    cfgfile = tmp_path / "bad.ini"
+    if text is None:
+        cfgfile.mkdir()
+    else:
+        cfgfile.write_text(text)
+    path = tmp_path / "x.jsonl"
+    rc = run(["generate", "--system", "pendulum", "--config", str(cfgfile), "--out", str(path)])
+    assert rc == EXIT_USAGE
+    assert not path.exists()
+    err = capsys.readouterr().err
+    assert str(cfgfile) in err and message in err
+
+
+def test_train_rejects_unknown_config_key(dataset, tmp_path, capsys):
+    cfgfile = tmp_path / "train.ini"
+    cfgfile.write_text("[train]\nD = 1\nepoch = 5\n")
+    out = tmp_path / "run"
+    rc = run(["train", "--data", str(dataset), "--out", str(out), "--config", str(cfgfile)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+    assert "unknown key epoch in [train]" in capsys.readouterr().err
+
+
+def test_examples_ini_loads(tmp_path):
+    """The shipped INI serves both commands; training is cut to one epoch."""
+    ini = os.path.join(os.path.dirname(__file__), os.pardir, "examples.ini")
+    data, out = tmp_path / "pend.jsonl", tmp_path / "run"
+    assert run(["generate", "--system", "pendulum", "--config", ini, "--out", str(data)]) == 0
+    assert len(load_tasks_jsonl(data)) == 25
+    assert run(["train", "--data", str(data), "--out", str(out), "--config", ini,
+                "--epochs", "1"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["D"], config["batch_tasks"], config["model"]["dim_z"]) == (5, 2, 3)
+
+
 def test_train_outputs(rundir):
     assert (rundir / "model.ckpt").exists()
     manifest = json.loads((rundir / "manifest.json").read_text())

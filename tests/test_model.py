@@ -136,31 +136,39 @@ def test_decode_pure_and_gradcheck(model):
 
 
 def test_rollout_single_step_equals_transition(model):
-    z = Tensor(np.random.default_rng(8).normal(size=(2, 2)))
-    r = Tensor(np.tile([0.3, 0.2], (2, 1)))
-    dists, z_next = model.rollout(z, r, 1, mode="mean")
-    direct = model.transition(z, r)
-    assert len(dists) == 1
-    assert np.array_equal(dists[0].mean.value, direct.mean.value)
-    assert np.array_equal(z_next.value, direct.mean.value)
+    pairs = np.random.default_rng(8).normal(size=(2, 4))
+    r = np.tile([0.3, 0.2], (2, 1))
+    latents = model.mean_chains(pairs, r, [1, 1])
+    z = model.recognize(pairs).mean
+    assert len(latents) == 2
+    assert np.array_equal(latents[0], z.value)
+    assert np.array_equal(latents[1], model.transition(z, Tensor(r)).mean.value)
 
 
 def test_rollout_mean_deterministic(model):
-    z = Tensor(np.random.default_rng(9).normal(size=(2, 2)))
-    r = Tensor(np.tile([0.3, 0.2], (2, 1)))
-    d1, _ = model.rollout(z, r, 4, mode="mean")
-    d2, _ = model.rollout(z, r, 4, mode="mean")
-    for a, b in zip(d1, d2):
-        assert np.array_equal(a.mean.value, b.mean.value)
+    pairs = np.random.default_rng(9).normal(size=(2, 4))
+    r = np.tile([0.3, 0.2], (2, 1))
+    l1 = model.mean_chains(pairs, r, [4, 4])
+    l2 = model.mean_chains(pairs, r, [4, 4])
+    assert len(l1) == len(l2) == 5
+    for a, b in zip(l1, l2):
+        assert np.array_equal(a, b)
 
 
-def test_rollout_sample_reproducible_with_seed(model):
-    z = Tensor(np.random.default_rng(10).normal(size=(2, 2)))
-    r = Tensor(np.tile([0.3, 0.2], (2, 1)))
-    d1, _ = model.rollout(z, r, 3, mode="sample", rng=np.random.default_rng(42))
-    d2, _ = model.rollout(z, r, 3, mode="sample", rng=np.random.default_rng(42))
-    for a, b in zip(d1, d2):
-        assert np.array_equal(a.mean.value, b.mean.value)
+def test_mean_chains_matches_per_chain_loop(model):
+    """Each row is its own chain, as a one-row loop rolls it; equal up to the
+    rounding that BLAS varies with the row count of a matmul."""
+    rng = np.random.default_rng(10)
+    depth = [3, 3, 1, 0]
+    pairs, r = rng.normal(size=(4, 4)), rng.normal(size=(4, 2))
+    latents = model.mean_chains(pairs, r, depth)
+    assert [latent.shape[0] for latent in latents] == [4, 3, 2, 2]
+    for i, d in enumerate(depth):
+        z = model.recognize(pairs[i:i + 1]).mean
+        assert np.allclose(latents[0][i], z.value[0], rtol=1e-12, atol=0)
+        for k in range(1, d + 1):
+            z = model.transition(z, Tensor(r[i:i + 1])).mean
+            assert np.allclose(latents[k][i], z.value[0], rtol=1e-12, atol=0), (i, k)
 
 
 def test_predict_observations_lengths(model):
@@ -181,9 +189,11 @@ def test_predict_observations_matches_per_latent_decode(model):
     ctx = select_contexts(task, 5, "train_random", seed=0)
     pred = model.predict_observations(task, ctx, 5, 50)
     pair = np.concatenate([task.observations[4], task.observations[5]])[None, :]
-    z = model.recognize(pair).mean
-    dists, _ = model.rollout(z, model.encode_context(ctx), 50, mode="mean")
-    want = np.stack([model.decode(t).value[0] for t in [z] + [d.mean for d in dists]])
+    zs = [model.recognize(pair).mean]
+    r_c = model.encode_context(ctx)
+    for _ in range(50):
+        zs.append(model.transition(zs[-1], r_c).mean)
+    want = np.stack([model.decode(z).value[0] for z in zs])
     assert np.max(np.abs(pred - want)) <= 1e-12 * np.max(np.abs(want))
 
 

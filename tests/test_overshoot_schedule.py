@@ -75,8 +75,8 @@ def loop_rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
         for d in range(D + 1):
             pairs = np.concatenate([obs[frames - d - 1], obs[frames - d]], axis=1)
             z = model.recognize(pairs).mean
-            if d >= 1:
-                _, z = model.rollout(z, r_c, d, mode="mean")
+            for _ in range(d):
+                z = model.transition(z, r_c).mean
             pred = model.decode(z).value
             sq_sums[d] += float(np.sum((pred - obs[frames]) ** 2))
             counts[d] += pred.size
@@ -235,9 +235,9 @@ def untrimmed_rollout_mse(model, s):
         starts = np.unique(frames[None, :] - np.arange(D + 1)[:, None])
         z = model.recognize(np.concatenate([obs[starts - 1], obs[starts]], axis=1)).mean
         latents = [z.value]
-        if D >= 1:
-            dists, _ = model.rollout(z, ad.Tensor(np.tile(r_c, (starts.size, 1))), D)
-            latents.extend(dist.mean.value for dist in dists)
+        for _ in range(D):
+            z = model.transition(z, ad.Tensor(np.tile(r_c, (starts.size, 1)))).mean
+            latents.append(z.value)
         for d, latent in enumerate(latents):
             pred = model.decode(ad.Tensor(latent[np.searchsorted(starts, frames - d)])).value
             sq_sums[d] += np.sum((pred - obs[frames]) ** 2)

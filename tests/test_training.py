@@ -19,8 +19,8 @@ from neurphy.physics import (DegenerateSplitError, PendulumParams,
                              pendulum_trajectory, select_contexts)
 from neurphy.training import (CheckpointError, CorruptCheckpointError, FormatVersionMismatchError,
                               LossBreakdown, TrainConfig, checkpoint_load,
-                              checkpoint_save, elbo_loss, keep_freed_heap, split_frames,
-                              train, write_metrics_csv)
+                              checkpoint_save, draw_noise, elbo_loss, keep_freed_heap,
+                              split_frames, train, write_metrics_csv)
 
 
 def tiny_model_config():
@@ -106,6 +106,23 @@ def test_elbo_replay_reproduces_breakdown(setup):
     _, a = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(5))
     _, b = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(5))
     assert a.recon == b.recon and a.kl == b.kl and a.total == b.total
+
+
+@pytest.mark.parametrize("D", [0, 1, 5])
+def test_draw_noise_blocks_follow_per_d_loop(D):
+    """Block 1 + d(d-1)/2 + k is chain d's k-th draw of the per-d loop (k = 0
+    its recognized draw), block 0 q_now's, and the generator ends where that
+    loop leaves it."""
+    n, dim_z = 7, 3
+    got_rng, want_rng = np.random.default_rng(13), np.random.default_rng(13)
+    noise = draw_noise(got_rng, n, D, dim_z)
+    assert noise.shape == (1 + D * (D + 1) // 2, n, dim_z)
+    assert np.array_equal(noise[0], want_rng.standard_normal((n, dim_z)))
+    for d in range(1, D + 1):
+        for k in range(d):
+            assert np.array_equal(noise[1 + d * (d - 1) // 2 + k],
+                                  want_rng.standard_normal((n, dim_z))), (d, k)
+    assert got_rng.integers(2 ** 31) == want_rng.integers(2 ** 31)
 
 
 def _tasks(n=4, T=30):
