@@ -351,9 +351,8 @@ def backward(root):
     order = _toposort(root)
     grads = {id(root): np.ones_like(root.value)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        # every consumer of node comes before it, so its gradient is complete
+        g = grads.pop(id(node))
         if node.parents:
             for parent, pg in zip(node.parents, node._vjp(g)):
                 prev = grads.get(id(parent))

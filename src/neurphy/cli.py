@@ -23,8 +23,8 @@ from .physics import (OrbitGridConfig, PendulumGridConfig, PhysicsError, TaskFil
                       generate_task_grid, load_tasks_jsonl, save_tasks_jsonl,
                       select_contexts)
 from .svg import line_chart, scatter_chart
-from .training import (PAPER_SCALE, CheckpointError, TrainConfig, TrainDiverged,
-                       checkpoint_load, split_frames, train, write_metrics_csv)
+from .training import (CHECKPOINT_FILE, METRICS_FILE, PAPER_SCALE, CheckpointError,
+                       TrainConfig, checkpoint_load, split_frames, train)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -67,7 +67,10 @@ def _parse_axis(text, name):
 
 def _seed_override(seed):
     env = os.environ.get("NEURPHY_SEED")
-    return int(env) if env else seed
+    try:
+        return int(env) if env else seed
+    except ValueError as exc:
+        raise UsageError(f"NEURPHY_SEED must be an integer: {exc}") from exc
 
 
 def _read_config(path):
@@ -76,9 +79,9 @@ def _read_config(path):
         if not os.path.isfile(path):
             raise UsageError(f"config file not found: {path}")
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 cp.read_file(f)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise UsageError(f"bad config file {path}: {exc}") from exc
     return cp
 
@@ -96,7 +99,10 @@ def _settings(args, cp, section, fields):
         if getattr(args, name) is not None:
             out[name] = getattr(args, name)
         elif name in sec:
-            out[name] = cast(sec[name])
+            try:
+                out[name] = cast(sec[name])
+            except ValueError as exc:
+                raise UsageError(f"{args.config}: bad {name} in [{section}]: {exc}") from exc
     return out
 
 
@@ -133,26 +139,25 @@ def cmd_train(args):
     tasks, digest = list(dataset), dataset.sha256()
     del dataset
     meta_train = stage_tasks(tasks, "training", cfg.seed)
+    # eval reads every task's globals under the keys of the first
+    first = (tasks[0].system, tasks[0].globals.keys())
+    for n, task in enumerate(tasks, 1):
+        if (task.system, task.globals.keys()) != first:
+            raise UsageError(f"{args.data}: record {n} is system {task.system!r} with globals "
+                             f"{sorted(task.globals)}, record 1 system {first[0]!r} with "
+                             f"globals {sorted(first[1])}; a run trains on one system")
     # training's draws, tried on the shortest task before the run dir exists
     shortest = min(meta_train, key=lambda task: task.length)
     select_contexts(shortest, cfg.n_c, "train_random", cfg.seed)
     split_frames(shortest.length, cfg.D, cfg.target_fraction, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    ckpt = os.path.join(args.out, "model.ckpt")
-    metrics = os.path.join(args.out, "metrics.csv")
     print(f"desk-scale run: {len(meta_train)} meta-train tasks, "
           f"B={cfg.batch_tasks}, {cfg.epochs} epochs "
           f"(paper scale: {PAPER_SCALE['tasks']} tasks, "
           f"B={PAPER_SCALE['batch_tasks']}, {PAPER_SCALE['epochs']} epochs)")
     started = time.perf_counter()
-    try:
-        model, history = train(meta_train, cfg, checkpoint_path=ckpt)
-    except TrainDiverged as exc:
-        write_metrics_csv(exc.history, cfg.D, metrics)
-        print(f"training aborted on non-finite value: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    _, history = train(meta_train, cfg, args.out)
     train_s = time.perf_counter() - started
-    write_metrics_csv(history, cfg.D, metrics)
     manifest = {
         "tool_version": __version__,
         "config": dataclasses.asdict(cfg),
@@ -160,8 +165,8 @@ def cmd_train(args):
         # paths relative to the run dir, so that a run moves with its dataset
         "dataset": os.path.relpath(args.data, args.out),
         "dataset_sha256": digest,
-        "checkpoint": os.path.basename(ckpt),
-        "metrics_csv": os.path.basename(metrics),
+        "checkpoint": CHECKPOINT_FILE,
+        "metrics_csv": METRICS_FILE,
     }
     write_atomic(os.path.join(args.out, "manifest.json"),
                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -273,7 +278,7 @@ def cmd_plot(args):
         y = [float(r[1]) for r in rows]
         c = [float(r[dim_r]) for r in rows]
         svg = scatter_chart(x, y, c, title="global representation manifold",
-                            x_label="r_c_0", y_label="r_c_1",
+                            x_label=header[0], y_label=header[1],
                             color_label=color_name)
     elif header[0] == "epoch":
         epochs = [float(r[0]) for r in rows]

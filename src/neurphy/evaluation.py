@@ -14,8 +14,9 @@ from . import autodiff as ad
 from .artifacts import write_csv
 from .autodiff import Tensor
 from .model import ContextBatch
-from .physics import select_contexts, split_indices
-from .training import TrainConfig, _chunks, _stack, draw_noise, overshoot, split_frames, task_means
+from .physics import frame_pairs, select_contexts, split_indices
+from .training import (TrainConfig, _chunks, _stack, draw_noise, eligible_frames, overshoot,
+                       split_frames, task_means)
 
 
 class DegenerateTargetError(Exception):
@@ -119,7 +120,7 @@ def stage_frames(task, stage, D, fraction, seed):
     training/test, every eligible frame for meta-test."""
     targets, heldout = split_frames(task.length, D, fraction, seed + task.task_id)
     return {"targets": targets, "heldout": heldout,
-            "all": np.arange(D + 1, task.length)}[STAGES[stage].frames]
+            "all": eligible_frames(task.length, D)}[STAGES[stage].frames]
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def rollout_mse(model, s):
         rank[order] = np.arange(order.size)
         first = first[order]
         starts, depth = back[first], D - first // n
-        latents = model.mean_chains(np.concatenate([obs[starts - 1], obs[starts]], axis=1),
+        latents = model.mean_chains(frame_pairs(obs, starts),
                                     np.stack(r_c)[task_of[first % n]], depth)
         read = rank[inverse].reshape(D + 1, n)[::-1]  # read[d, j]: distance d of frame j
         pred = model.decode(Tensor(np.concatenate([latent[r] for latent, r in zip(latents, read)])))
@@ -217,9 +218,8 @@ def export_manifold(model, s, global_path, state_path):
     global_keys = list(s.tasks[0].globals.keys())
     zs = []
     for chunk in _chunks(s.tasks, lambda task: task.length - 1):
-        pairs = np.concatenate([np.concatenate([task.observations[:-1], task.observations[1:]],
-                                               axis=1) for task in chunk])
-        z = model.recognize(pairs).mean.value
+        obs, frames = _stack(chunk, [np.arange(1, task.length) for task in chunk])
+        z = model.recognize(frame_pairs(obs, frames)).mean.value
         zs.extend(np.split(z, np.cumsum([task.length - 1 for task in chunk])[:-1]))
     write_csv(global_path, [f"r_c_{i}" for i in range(model.cfg.dim_r)] + global_keys,
               ([*r_c, *(task.globals[k] for k in global_keys)]
@@ -239,11 +239,9 @@ def global_r2_table(s):
     reports = []
     for key in s.tasks[0].globals.keys():
         target = np.array([task.globals[key] for task in s.tasks])
-        if float(np.var(target)) == 0.0:
-            continue
         for degree in (1, 2):
             try:
                 reports.append(fit_poly_r2(s.r_c, target, degree, name=key))
-            except UnderdeterminedFitError:
+            except (DegenerateTargetError, UnderdeterminedFitError):
                 pass
     return reports

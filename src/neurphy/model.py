@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import MLP, GaussianHead
+from .physics import frame_pairs
 
 
 class EmptyContextError(Exception):
@@ -145,6 +146,6 @@ class NeurPhyModel:
         if horizon < 0 or start_t < 1 or start_t + horizon > task.length - 1:
             raise OutOfRangeError(f"window [{start_t}, {start_t + horizon}] "
                                   f"outside task of length {task.length}")
-        pair = np.concatenate([task.observations[start_t - 1], task.observations[start_t]])
-        latents = self.mean_chains(pair[None, :], self.encode_context(ctx).value, [horizon])
+        latents = self.mean_chains(frame_pairs(task.observations, [start_t]),
+                                   self.encode_context(ctx).value, [horizon])
         return self.decode(Tensor(np.concatenate(latents))).value

@@ -37,6 +37,18 @@ class CorruptDatasetError(PhysicsError):
     """A JSONL line that does not decode as a task."""
 
 
+def _check_settings(system, values, positive=(), nonnegative=()):
+    """ValueError naming the first of values (setting name -> number) that is
+    not finite, or not above 0 if named in positive, or below 0 if named in
+    nonnegative."""
+    for name, value in values.items():
+        if not math.isfinite(value) or (name in positive and value <= 0) \
+                or (name in nonnegative and value < 0):
+            sign = ("positive " if name in positive else
+                    "non-negative " if name in nonnegative else "")
+            raise ValueError(f"{system} {name} must be a {sign}finite number, got {value}")
+
+
 @dataclass
 class PendulumParams:
     l: float = 2.0
@@ -48,8 +60,8 @@ class PendulumParams:
     dt: float = 0.1
 
     def __post_init__(self):
-        if self.l <= 0 or self.m <= 0 or self.g <= 0 or self.mu < 0 or self.dt <= 0:
-            raise ValueError(f"invalid pendulum parameters: {self}")
+        _check_settings("pendulum", vars(self), positive=("l", "m", "g", "dt"),
+                        nonnegative=("mu",))
 
 
 @dataclass
@@ -67,8 +79,9 @@ class OrbitInit:
     theta0: float = 0.0
 
     def __post_init__(self):
-        if self.r0 <= 0 or self.v0theta <= 0 or self.GM <= 0 or self.theta0 != 0.0:
-            raise ValueError(f"invalid orbit initial condition: {self}")
+        _check_settings("orbit", vars(self), positive=("r0", "v0theta", "GM"))
+        if self.theta0 != 0.0:
+            raise ValueError(f"orbit theta0 must be 0, got {self.theta0}")
 
 
 @dataclass
@@ -169,6 +182,7 @@ def orbit_step(s, p, dt):
 
 
 def orbit_trajectory(init, T, dt, task_id=0, seed=0):
+    _check_settings("orbit", {"dt": dt}, positive=("dt",))
     if T < 2:
         raise ValueError("trajectory needs T >= 2")
     p = orbit_params_from_init(init)
@@ -213,10 +227,14 @@ class OrbitGridConfig:
     seed: int = 0
 
 
-def _axis(rng_pair, count):
+def _axis(cfg, system, name):
+    """The grid's axis name: <name>_count points spaced evenly over <name>_range."""
+    (lo, hi), count = getattr(cfg, f"{name}_range"), getattr(cfg, f"{name}_count")
     if count < 1:
         raise ValueError("grid axis needs at least one point")
-    return np.linspace(rng_pair[0], rng_pair[1], count)
+    for end in (lo, hi):
+        _check_settings(system, {name: end})
+    return np.linspace(lo, hi, count)
 
 
 def generate_task_grid(cfg):
@@ -224,32 +242,28 @@ def generate_task_grid(cfg):
 
     Returns (tasks, skipped) where skipped counts orbit points dropped for
     being unbound (e >= 1). Task ids are assigned in row-major grid order.
+    Every point's parameters are checked before any trajectory is built.
     """
-    tasks, skipped = [], 0
     if isinstance(cfg, PendulumGridConfig):
-        task_id = 0
-        for l in _axis(cfg.l_range, cfg.l_count):
-            for m in _axis(cfg.m_range, cfg.m_count):
-                p = PendulumParams(l=float(l), m=float(m), g=cfg.g, mu=cfg.mu,
-                                   theta0=cfg.theta0, omega0=cfg.omega0, dt=cfg.dt)
-                tasks.append(pendulum_trajectory(p, cfg.T, task_id=task_id, seed=cfg.seed))
-                task_id += 1
-    elif isinstance(cfg, OrbitGridConfig):
-        task_id = 0
-        for r0 in _axis(cfg.r0_range, cfg.r0_count):
-            for v0r in _axis(cfg.v0r_range, cfg.v0r_count):
-                for v0t in _axis(cfg.v0t_range, cfg.v0t_count):
-                    init = OrbitInit(r0=float(r0), v0r=float(v0r),
-                                     v0theta=float(v0t), GM=cfg.GM)
-                    try:
-                        tasks.append(orbit_trajectory(init, cfg.T, cfg.dt,
-                                                      task_id=task_id, seed=cfg.seed))
-                        task_id += 1
-                    except UnboundOrbitError:
-                        skipped += 1
-    else:
-        raise TypeError(f"unknown grid config {type(cfg)}")
-    return tasks, skipped
+        params = [PendulumParams(l=float(l), m=float(m), g=cfg.g, mu=cfg.mu,
+                                 theta0=cfg.theta0, omega0=cfg.omega0, dt=cfg.dt)
+                  for l in _axis(cfg, "pendulum", "l") for m in _axis(cfg, "pendulum", "m")]
+        return [pendulum_trajectory(p, cfg.T, task_id=i, seed=cfg.seed)
+                for i, p in enumerate(params)], 0
+    if isinstance(cfg, OrbitGridConfig):
+        inits = [OrbitInit(r0=float(r0), v0r=float(v0r), v0theta=float(v0t), GM=cfg.GM)
+                 for r0 in _axis(cfg, "orbit", "r0")
+                 for v0r in _axis(cfg, "orbit", "v0r")
+                 for v0t in _axis(cfg, "orbit", "v0t")]
+        tasks = []
+        for init in inits:
+            try:
+                tasks.append(orbit_trajectory(init, cfg.T, cfg.dt, task_id=len(tasks),
+                                              seed=cfg.seed))
+            except UnboundOrbitError:
+                pass
+        return tasks, len(inits) - len(tasks)
+    raise TypeError(f"unknown grid config {type(cfg)}")
 
 
 def split_indices(n, ratio, seed):
@@ -270,6 +284,12 @@ def split_meta(tasks, ratio, seed):
     return [tasks[i] for i in train], [tasks[i] for i in test]
 
 
+def frame_pairs(observations, frames):
+    """Each frame t's recognition input: the row [x_{t-1}, x_t] of observations."""
+    frames = np.asarray(frames)
+    return np.concatenate([observations[frames - 1], observations[frames]], axis=1)
+
+
 def select_contexts(task, n_c, mode, seed):
     """Draw n_c consecutive-frame pairs.
 
@@ -285,8 +305,7 @@ def select_contexts(task, n_c, mode, seed):
     if n_c < 1 or n_c > limit:
         raise InfeasibleContextError(f"cannot draw {n_c} pairs from {limit} start indices")
     starts = np.sort(np.random.default_rng(seed).choice(limit, size=n_c, replace=False))
-    pairs = np.concatenate([task.observations[starts], task.observations[starts + 1]], axis=1)
-    return ContextSet(pairs=pairs, indices=starts)
+    return ContextSet(pairs=frame_pairs(task.observations, starts + 1), indices=starts)
 
 
 def _fmt_rows(arr):

@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -15,10 +16,12 @@ from .artifacts import write_atomic, write_csv
 from .autodiff import NonFiniteError, Tensor
 from .model import ContextBatch, ModelConfig, NeurPhyModel
 from .nn import Adam, DiagGaussian, gaussian_obs_nll, kl_diag_gauss, reparameterize
-from .physics import DegenerateSplitError, select_contexts
+from .physics import DegenerateSplitError, frame_pairs, select_contexts
 
 CHECKPOINT_MAGIC = b"NPHY"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_FILE = "model.ckpt"  # the files train writes into a run directory
+METRICS_FILE = "metrics.csv"
 
 # Cap on a chunk's rows: the sum over its tasks of each task's largest network
 # input, which bounds every network input of the chunk. It keeps the
@@ -41,14 +44,6 @@ class CorruptCheckpointError(CheckpointError):
 
 class FormatVersionMismatchError(CheckpointError):
     pass
-
-
-class TrainDiverged(Exception):
-    """Non-finite value hit mid-training; .history holds completed epochs."""
-
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = history
 
 
 @dataclass
@@ -96,20 +91,22 @@ class LossBreakdown:
     total: float
 
 
+def eligible_frames(T, D):
+    """The frames t >= D+1 of a length-T task: those whose recognition pair
+    (x_{t-d-1}, x_{t-d}) exists for every overshoot d <= D."""
+    return np.arange(D + 1, T)
+
+
 def target_count(T, D, fraction):
-    """How many of the T-D-1 eligible frames split_frames makes targets."""
-    return max(1, int(fraction * (T - D - 1)))
+    """How many of the eligible frames split_frames makes targets."""
+    return max(1, int(fraction * eligible_frames(T, D).size))
 
 
 def split_frames(T, D, fraction, seed):
-    """Seeded split of eligible frames into (targets, heldout).
-
-    A frame t is eligible only if t >= D+1, so the recognition pair
-    (x_{t-d-1}, x_{t-d}) exists for every overshoot d <= D.
-    """
+    """Seeded split of the eligible frames into (targets, heldout)."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    eligible = np.arange(D + 1, T)
+    eligible = eligible_frames(T, D)
     if eligible.size == 0:
         raise DegenerateSplitError(f"no eligible frames for T={T}, D={D}")
     order = np.random.default_rng(seed).permutation(eligible.size)
@@ -194,7 +191,7 @@ def overshoot(model, obs, targets, r_c, cfg, noises, sizes):
     owner = np.repeat(np.arange(len(sizes)), sizes)
 
     back = np.concatenate([targets[None, :], targets - np.arange(D, 0, -1)[:, None]]).ravel()
-    q_all = model.recognize(np.concatenate([obs[back - 1], obs[back]], axis=1))
+    q_all = model.recognize(frame_pairs(obs, back))
     z_all = reparameterize(q_all, noise[[0, *map(_noise_block, range(D, 0, -1))]]
                            .reshape((D + 1) * n, -1))
     q_now = _rows(q_all, 0, n)
@@ -311,11 +308,15 @@ def keep_freed_heap():
         mallopt(M_MMAP_THRESHOLD, 32 << 20)
 
 
-def train(tasks, cfg, checkpoint_path=None):
+def train(tasks, cfg, run_dir=None):
     """Run the optimization loop; returns (model, per-epoch LossBreakdown history).
 
     Contexts and target frames are freshly drawn each epoch. All randomness
     comes from cfg.seed, so identical config gives identical history.
+
+    Given run_dir, it writes CHECKPOINT_FILE there every checkpoint_every
+    epochs and at the end, and METRICS_FILE for the completed epochs however
+    the loop ends, a NonFiniteError or KeyboardInterrupt included.
 
     Sets a process-wide allocator policy first (keep_freed_heap): freed heap
     stays in the process for the rest of its life.
@@ -327,6 +328,7 @@ def train(tasks, cfg, checkpoint_path=None):
     model = NeurPhyModel(cfg.model, rng)
     opt = Adam(model.parameters(), lr=cfg.lr)
     history = []
+    ckpt = os.path.join(run_dir, CHECKPOINT_FILE) if run_dir else None
     try:
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(tasks))
@@ -342,13 +344,13 @@ def train(tasks, cfg, checkpoint_path=None):
                     for d in range(cfg.D)],
                 total=float(np.mean([b.total for b in breakdowns])),
             ))
-            if checkpoint_path and cfg.checkpoint_every > 0 \
-                    and (epoch + 1) % cfg.checkpoint_every == 0:
-                checkpoint_save(model, cfg, checkpoint_path)
-    except NonFiniteError as exc:
-        raise TrainDiverged(str(exc), history) from exc
-    if checkpoint_path:
-        checkpoint_save(model, cfg, checkpoint_path)
+            if ckpt and cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0:
+                checkpoint_save(model, cfg, ckpt)
+        if ckpt:
+            checkpoint_save(model, cfg, ckpt)
+    finally:
+        if run_dir:
+            write_metrics_csv(history, cfg.D, os.path.join(run_dir, METRICS_FILE))
     return model, history
 
 

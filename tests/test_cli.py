@@ -113,11 +113,14 @@ def test_generate_prints_skipped_count_only_for_orbit(tmp_path, capsys):
     ("l = 1:3:2\n", "no section headers"),
     ("[grid]\nl = 1:3:2\nL = 1:3:3\n", "already exists"),
     ("[grid]\nl = 1:3:2\nwidth = 3\n", "unknown key width in [grid]"),
-], ids=["directory", "no-section", "duplicate-key", "unknown-key"])
+    ("[grid]\n; l\xe4nge\nl = 1:3:2\n".encode("latin-1"), "can't decode byte 0xe4"),
+], ids=["directory", "no-section", "duplicate-key", "unknown-key", "not-utf8"])
 def test_generate_rejects_bad_config(tmp_path, capsys, text, message):
     cfgfile = tmp_path / "bad.ini"
     if text is None:
         cfgfile.mkdir()
+    elif isinstance(text, bytes):
+        cfgfile.write_bytes(text)
     else:
         cfgfile.write_text(text)
     path = tmp_path / "x.jsonl"
@@ -126,6 +129,54 @@ def test_generate_rejects_bad_config(tmp_path, capsys, text, message):
     assert not path.exists()
     err = capsys.readouterr().err
     assert str(cfgfile) in err and message in err
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("train", "train", "epochs", "abc"),
+    ("train", "train", "beta", "1,x"),
+    ("generate", "grid", "T", "1e2"),
+])
+def test_bad_config_value_names_file_section_and_key(dataset, tmp_path, capsys, command,
+                                                     section, key, value):
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    argv = (["train", "--data", str(dataset)] if command == "train"
+            else ["generate", "--system", "pendulum"])
+    assert run(argv + ["--out", str(out), "--config", str(cfgfile)]) == EXIT_USAGE
+    assert not out.exists()
+    assert f"{cfgfile}: bad {key} in [{section}]" in capsys.readouterr().err
+
+
+def test_bad_seed_override_names_the_variable(dataset, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NEURPHY_SEED", "abc")
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(dataset), "--out", str(out), "--D", "1",
+                "--epochs", "1", "--n-c", "4"]) == EXIT_USAGE
+    assert not out.exists()
+    assert "NEURPHY_SEED must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system,flag,value,setting", [
+    ("pendulum", "--dt", "nan", "dt"),
+    ("pendulum", "--dt", "inf", "dt"),
+    ("pendulum", "--l", "nan:3:5", "l"),
+    ("pendulum", "--m", "1:inf:3", "m"),
+    ("orbit", "--dt", "nan", "dt"),
+    ("orbit", "--dt", "inf", "dt"),
+    ("orbit", "--dt", "0", "dt"),
+    ("orbit", "--dt", "-0.1", "dt"),
+    ("orbit", "--GM", "nan", "GM"),
+    ("orbit", "--GM", "inf", "GM"),
+    ("orbit", "--r0", "nan:2:3", "r0"),
+])
+def test_generate_rejects_non_finite_or_non_positive_settings(tmp_path, capsys, system, flag,
+                                                              value, setting):
+    path = tmp_path / "x.jsonl"
+    assert run(["generate", "--system", system, "--out", str(path), "--T", "12",
+                flag, value]) == EXIT_USAGE
+    assert not path.exists()
+    assert f"{system} {setting} must be a" in capsys.readouterr().err
 
 
 def test_train_rejects_unknown_config_key(dataset, tmp_path, capsys):
@@ -364,6 +415,28 @@ def test_train_rejects_bad_input(dataset, tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mix", ["orbit", "globals"])
+def test_train_rejects_mixed_systems(dataset, tmp_path, capsys, mix):
+    data, out = tmp_path / "mixed.jsonl", tmp_path / "run"
+    if mix == "orbit":
+        orbit = tmp_path / "orbit.jsonl"
+        assert run(["generate", "--system", "orbit", "--out", str(orbit), "--T", "20"]) == 0
+        data.write_bytes(dataset.read_bytes() + orbit.read_bytes())
+        record, want = 10, "system 'orbit' with globals ['e', 'r_n', 'theta_n']"
+    else:
+        lines = dataset.read_bytes().split(b"\n")
+        task = json.loads(lines[4])
+        del task["globals"]["m"]
+        lines[4] = json.dumps(task).encode()
+        data.write_bytes(b"\n".join(lines))
+        record, want = 5, "system 'pendulum' with globals ['l']"
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "1",
+                "--epochs", "1", "--n-c", "4"]) == EXIT_USAGE
+    assert f"{data}: record {record} is {want}, record 1 system 'pendulum'" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_divergence_exits_numeric(dataset, tmp_path, capsys):
     out = tmp_path / "div"
     rc = run(["train", "--data", str(dataset), "--out", str(out), "--D", "1",
@@ -388,11 +461,22 @@ def test_eval_metatest20_few_tasks_skips_r2_and_writes_manifold(tmp_path):
     assert run(["eval", "--run", str(out), "--stage", "metatest20",
                 "--manifold-out", prefix]) == 0
     assert (out / "r2_metatest20.csv").read_text() == "target,degree,r2\n"
-    g_lines = open(prefix + "_global.csv").read().strip().split("\n")
+    g_lines = (tmp_path / "mani_global.csv").read_text().strip().split("\n")
     assert g_lines[0] == "r_c_0,r_c_1,r_c_2,l,m" and len(g_lines) == 4
     assert os.path.exists(prefix + "_states.csv")
     assert run(["plot", "--in", prefix + "_global.csv",
                 "--out", str(tmp_path / "mani.svg")]) == 0
+
+
+def test_plot_manifold_axis_labels_follow_header(tmp_path):
+    # a dim_r = 1 run's manifold CSV: the y axis draws the first global
+    data = tmp_path / "mani_global.csv"
+    data.write_text("r_c_0,l,m\n0.1,1.0,2.0\n0.2,1.5,3.0\n0.4,2.0,1.0\n")
+    out = tmp_path / "mani.svg"
+    assert run(["plot", "--in", str(data), "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert ">r_c_0</text>" in svg and ">l</text>" in svg and "color: l [" in svg
+    assert "r_c_1" not in svg
 
 
 @pytest.fixture

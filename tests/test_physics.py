@@ -13,7 +13,7 @@ from neurphy.physics import (ContextSet, CorruptDatasetError, InfeasibleContextE
                              OrbitGridConfig,
                              OrbitInit, OrbitParams, OrbitState,
                              PendulumGridConfig, PendulumParams, PendulumState,
-                             TaskFile, UnboundOrbitError, generate_task_grid,
+                             TaskFile, UnboundOrbitError, frame_pairs, generate_task_grid,
                              load_tasks_jsonl, orbit_params_from_init, orbit_step,
                              orbit_trajectory, pendulum_endpoint, pendulum_step,
                              pendulum_trajectory, save_tasks_jsonl,
@@ -189,6 +189,26 @@ def test_split_meta_two_tasks():
     tasks, _ = generate_task_grid(PendulumGridConfig(l_count=2, m_count=1, T=2))
     train, test = split_meta(tasks, 0.5, seed=0)
     assert len(train) == 1 and len(test) == 1
+
+
+def test_frame_pairs_rows():
+    obs = np.arange(10.0).reshape(5, 2)
+    assert np.array_equal(frame_pairs(obs, [1, 4]), [[0, 1, 2, 3], [6, 7, 8, 9]])
+    assert frame_pairs(obs, np.arange(1, 5)).shape == (4, 4)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: PendulumParams(dt=float("nan")), "pendulum dt must be a positive finite number"),
+    (lambda: PendulumParams(omega0=float("inf")), "pendulum omega0 must be a finite number"),
+    (lambda: PendulumParams(mu=-0.1), "pendulum mu must be a non-negative finite number"),
+    (lambda: OrbitInit(r0=2.0, v0r=float("nan"), v0theta=0.7), "orbit v0r must be a finite"),
+    (lambda: OrbitInit(r0=2.0, v0r=0.0, v0theta=0.7, GM=0.0), "orbit GM must be a positive"),
+    (lambda: orbit_trajectory(OrbitInit(r0=2.0, v0r=0.0, v0theta=0.7), 5, 0.0),
+     "orbit dt must be a positive finite number"),
+], ids=["pendulum-dt", "pendulum-omega0", "pendulum-mu", "orbit-v0r", "orbit-GM", "orbit-dt"])
+def test_bad_physics_settings_are_named(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_select_contexts_prefix_window():

@@ -19,8 +19,9 @@ from neurphy.physics import (DegenerateSplitError, PendulumParams,
                              pendulum_trajectory, select_contexts)
 from neurphy.training import (CheckpointError, CorruptCheckpointError, FormatVersionMismatchError,
                               LossBreakdown, TrainConfig, checkpoint_load,
-                              checkpoint_save, draw_noise, elbo_loss, keep_freed_heap,
-                              split_frames, train, write_metrics_csv)
+                              checkpoint_save, draw_noise, elbo_loss, eligible_frames,
+                              keep_freed_heap, split_frames, target_count, train,
+                              write_metrics_csv)
 
 
 def tiny_model_config():
@@ -200,6 +201,36 @@ def test_repeated_train_does_not_fault_its_heap_back_in():
     out = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert int(out.stdout.strip()) < 1000
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_interrupted_train_keeps_completed_epochs(tmp_path, monkeypatch, k):
+    cfg = tiny_train_config(epochs=4, batch_tasks=4)  # one batch per epoch
+    full, cut = tmp_path / "full", tmp_path / "cut"
+    full.mkdir()
+    cut.mkdir()
+    train(_tasks(), cfg, full)
+    real, started = training.backward_batch, []
+
+    def interrupt_epoch_k_plus_1(*args):
+        if len(started) == k:
+            raise KeyboardInterrupt
+        started.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(training, "backward_batch", interrupt_epoch_k_plus_1)
+    with pytest.raises(KeyboardInterrupt):
+        train(_tasks(), cfg, cut)
+    lines = (cut / training.METRICS_FILE).read_text().splitlines()
+    assert len(lines) == 1 + k
+    assert lines == (full / training.METRICS_FILE).read_text().splitlines()[:1 + k]
+    assert not (cut / training.CHECKPOINT_FILE).exists()
+
+
+def test_eligible_frames_and_target_count():
+    assert np.array_equal(eligible_frames(101, 5), np.arange(6, 101))
+    assert target_count(101, 5, 0.9) == 85
+    assert eligible_frames(5, 5).size == 0 and target_count(5, 5, 0.9) == 1
 
 
 def test_metrics_csv_schema(tmp_path):
