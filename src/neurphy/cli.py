@@ -146,6 +146,9 @@ def cmd_train(args):
             raise UsageError(f"{args.data}: record {n} is system {task.system!r} with globals "
                              f"{sorted(task.globals)}, record 1 system {first[0]!r} with "
                              f"globals {sorted(first[1])}; a run trains on one system")
+        if task.observations.shape[1] != cfg.model.obs_dim:
+            raise UsageError(f"{args.data}: record {n} has {task.observations.shape[1]} "
+                             f"observation columns, the model's obs_dim is {cfg.model.obs_dim}")
     # training's draws, tried on the shortest task before the run dir exists
     shortest = min(meta_train, key=lambda task: task.length)
     select_contexts(shortest, cfg.n_c, "train_random", cfg.seed)
@@ -180,15 +183,19 @@ def _load_run(rundir):
     manifest_path = os.path.join(rundir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise UsageError(f"no manifest.json in {rundir}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
     try:
-        # joining keeps the absolute paths that older manifests hold
-        ckpt = os.path.join(rundir, manifest["checkpoint"])
-        data = os.path.join(rundir, manifest["dataset"])
-        digest = manifest["dataset_sha256"]
-    except KeyError as exc:
-        raise UsageError(f"{manifest_path} has no {exc} entry") from exc
+        with open(manifest_path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise UsageError(f"{manifest_path} is not a JSON manifest: {exc}") from exc
+    keys = ("checkpoint", "dataset", "dataset_sha256")
+    if not (isinstance(manifest, dict) and all(isinstance(manifest.get(k), str) for k in keys)):
+        raise UsageError(f"{manifest_path} is not a JSON object with string entries "
+                         f"{', '.join(keys)}")
+    # joining keeps the absolute paths that older manifests hold
+    ckpt = os.path.join(rundir, manifest["checkpoint"])
+    data = os.path.join(rundir, manifest["dataset"])
+    digest = manifest["dataset_sha256"]
     # train decoded every record of the file with this digest, so records are
     # decoded here only as they are read
     dataset = TaskFile(data)
@@ -252,40 +259,53 @@ def cmd_rollout(args):
     return 0
 
 
+def _columns(path, header, rows):
+    """The columns, as floats, of a CSV's data rows (line number, cells); a
+    UsageError names the line of a row that is not header-wide or holds a cell
+    that is not a number."""
+    table = []
+    for n, row in rows:
+        if len(row) != len(header):
+            raise UsageError(f"{path}: line {n} has {len(row)} of the header's "
+                             f"{len(header)} columns")
+        try:
+            table.append([float(c) for c in row])
+        except ValueError as exc:
+            raise UsageError(f"{path}: line {n} has a cell that is not a number: "
+                             f"{exc}") from exc
+    return list(zip(*table))
+
+
 def cmd_plot(args):
     if not os.path.exists(args.infile):
         raise UsageError(f"input not found: {args.infile}")
-    with open(args.infile) as f:
-        lines = [(n, line.rstrip("\n").split(",")) for n, line in enumerate(f, 1)
-                 if line.strip()]
+    with open(args.infile, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise UsageError(f"{args.infile}: line {line} is not UTF-8 text") from exc
+    lines = [(n, line.split(",")) for n, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
     if len(lines) < 2:
         raise UsageError(f"no data rows in {args.infile}")
-    header = lines[0][1]
-    for n, row in lines[1:]:
-        if len(row) != len(header):
-            raise UsageError(f"{args.infile}: line {n} has {len(row)} of the header's "
-                             f"{len(header)} columns")
-    rows = [row for _, row in lines[1:]]
+    header, rows = lines[0][1], lines[1:]
     if header[:5] == ["t", "true_x", "true_y", "pred_x", "pred_y"]:
-        t = [float(r[0]) for r in rows]
-        series = {"true_x": [float(r[1]) for r in rows],
-                  "pred_x": [float(r[3]) for r in rows]}
-        svg = line_chart(t, series, title="rollout", x_label="t", y_label="x")
+        cols = _columns(args.infile, header, rows)
+        svg = line_chart(cols[0], {"true_x": cols[1], "pred_x": cols[3]},
+                         title="rollout", x_label="t", y_label="x")
     elif header[0] == "r_c_0" and len(header) > 2:
+        cols = _columns(args.infile, header, rows)
         dim_r = sum(1 for h in header if h.startswith("r_c_"))
-        color_name = header[dim_r]
-        x = [float(r[0]) for r in rows]
-        y = [float(r[1]) for r in rows]
-        c = [float(r[dim_r]) for r in rows]
-        svg = scatter_chart(x, y, c, title="global representation manifold",
+        svg = scatter_chart(cols[0], cols[1], cols[dim_r],
+                            title="global representation manifold",
                             x_label=header[0], y_label=header[1],
-                            color_label=color_name)
+                            color_label=header[dim_r])
     elif header[0] == "epoch":
-        epochs = [float(r[0]) for r in rows]
-        series = {name: [float(r[i]) for r in rows]
-                  for i, name in enumerate(header) if i > 0}
-        svg = line_chart(epochs, series, title="training metrics",
-                         x_label="epoch", y_label="loss")
+        cols = _columns(args.infile, header, rows)
+        svg = line_chart(cols[0], dict(zip(header[1:], cols[1:])),
+                         title="training metrics", x_label="epoch", y_label="loss")
     else:
         raise UsageError(f"unknown CSV schema: {header}")
     write_atomic(args.out, svg)

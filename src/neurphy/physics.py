@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import fmt, write_atomic
+from .artifacts import write_atomic
 
 
 class PhysicsError(Exception):
@@ -308,25 +308,12 @@ def select_contexts(task, n_c, mode, seed):
     return ContextSet(pairs=frame_pairs(task.observations, starts + 1), indices=starts)
 
 
-def _fmt_rows(arr):
-    return "[" + ", ".join(
-        "[" + ", ".join(fmt(v) for v in row) + "]" for row in arr
-    ) + "]"
-
-
 def task_to_json(task):
-    globals_json = "{" + ", ".join(
-        f"{json.dumps(k)}: {fmt(v)}" for k, v in task.globals.items()
-    ) + "}"
-    return ("{" +
-            f'"task_id": {task.task_id}, '
-            f'"system": {json.dumps(task.system)}, '
-            f'"globals": {globals_json}, '
-            f'"states": {_fmt_rows(task.states)}, '
-            f'"observations": {_fmt_rows(task.observations)}, '
-            f'"dt": {fmt(task.dt)}, '
-            f'"seed": {task.seed}' +
-            "}")
+    """One JSONL record; json spells each float as its shortest round-trip repr."""
+    return json.dumps({"task_id": task.task_id, "system": task.system,
+                       "globals": task.globals, "states": task.states.tolist(),
+                       "observations": task.observations.tolist(), "dt": task.dt,
+                       "seed": task.seed}, allow_nan=False)
 
 
 def _is_int(x):
@@ -359,7 +346,7 @@ def save_tasks_jsonl(tasks, path):
 
 
 class TaskFile(Sequence):
-    """A task JSONL file, read once: its bytes and where each record lies.
+    """A task JSONL file, read once: its sha256 and each record's line.
 
     A record is a line that is not blank (whitespace only); blank lines are
     skipped. Indexing decodes one record, so a reader decodes only the records
@@ -370,28 +357,23 @@ class TaskFile(Sequence):
     def __init__(self, path):
         self.path = path
         with open(path, "rb") as f:
-            self.data = f.read()
-        self._records = []  # (start, end, line number) per record
-        start, number = 0, 1
-        while start < len(self.data):
-            end = self.data.find(b"\n", start)
-            end = len(self.data) if end < 0 else end
-            if self.data[start:end].strip():
-                self._records.append((start, end, number))
-            start, number = end + 1, number + 1
+            data = f.read()
+        self._sha256 = hashlib.sha256(data).hexdigest()
+        self._records = [(number, line) for number, line in enumerate(data.split(b"\n"), 1)
+                         if line.strip()]
 
     def __len__(self):
         return len(self._records)
 
     def __getitem__(self, i):
-        start, end, number = self._records[i]
+        number, line = self._records[i]
         try:
-            return task_from_json(self.data[start:end])
+            return task_from_json(line)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise CorruptDatasetError(f"{self.path}, line {number}: {exc!r}") from exc
 
     def sha256(self):
-        return hashlib.sha256(self.data).hexdigest()
+        return self._sha256
 
 
 def load_tasks_jsonl(path):

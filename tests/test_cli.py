@@ -364,17 +364,20 @@ def test_plot_without_data_rows(tmp_path, capsys, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text,line,cols", [
-    ("epoch,recon,total\n0,1.0,2.0\n1,0.5\n", 3, "2 of the header's 3"),
-    ("t,true_x,true_y,pred_x,pred_y\n3,0.1,0.2,0.3,0.4\n\n4,0.1,0.2\n", 4,
-     "3 of the header's 5"),
-], ids=["metrics", "rollout"])
-def test_plot_short_row(tmp_path, capsys, text, line, cols):
+@pytest.mark.parametrize("raw,line,want", [
+    (b"epoch,recon,total\n0,1.0,2.0\n1,0.5\n", 3, "has 2 of the header's 3 columns"),
+    (b"t,true_x,true_y,pred_x,pred_y\n3,0.1,0.2,0.3,0.4\n\n4,0.1,0.2\n", 4,
+     "has 3 of the header's 5 columns"),
+    (b"t,true_x,true_y,pred_x,pred_y\n0,0.1,0.2,0.3,0.4\n1,abc,2,3,4\n", 3,
+     "has a cell that is not a number: could not convert string to float: 'abc'"),
+    (b"epoch,recon,total\n0,1.0,2.0\n\n1,0.5,\xff\n", 4, "is not UTF-8 text"),
+], ids=["metrics", "rollout", "not a number", "not UTF-8"])
+def test_plot_short_row(tmp_path, capsys, raw, line, want):
     data = tmp_path / "short.csv"
-    data.write_text(text)
+    data.write_bytes(raw)
     out = tmp_path / "o.svg"
     assert run(["plot", "--in", str(data), "--out", str(out)]) == EXIT_USAGE
-    assert f"{data}: line {line} has {cols} columns" in capsys.readouterr().err
+    assert f"{data}: line {line} {want}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -415,25 +418,31 @@ def test_train_rejects_bad_input(dataset, tmp_path, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mix", ["orbit", "globals"])
+@pytest.mark.parametrize("mix", ["orbit", "globals", "width"])
 def test_train_rejects_mixed_systems(dataset, tmp_path, capsys, mix):
     data, out = tmp_path / "mixed.jsonl", tmp_path / "run"
     if mix == "orbit":
         orbit = tmp_path / "orbit.jsonl"
         assert run(["generate", "--system", "orbit", "--out", str(orbit), "--T", "20"]) == 0
         data.write_bytes(dataset.read_bytes() + orbit.read_bytes())
-        record, want = 10, "system 'orbit' with globals ['e', 'r_n', 'theta_n']"
+        record = 10
+        want = ("is system 'orbit' with globals ['e', 'r_n', 'theta_n'], "
+                "record 1 system 'pendulum'")
     else:
         lines = dataset.read_bytes().split(b"\n")
         task = json.loads(lines[4])
-        del task["globals"]["m"]
+        if mix == "globals":
+            del task["globals"]["m"]
+            want = "is system 'pendulum' with globals ['l'], record 1 system 'pendulum'"
+        else:
+            task["observations"] = [row + [0.0] for row in task["observations"]]
+            want = "has 3 observation columns, the model's obs_dim is 2"
         lines[4] = json.dumps(task).encode()
         data.write_bytes(b"\n".join(lines))
-        record, want = 5, "system 'pendulum' with globals ['l']"
+        record = 5
     assert run(["train", "--data", str(data), "--out", str(out), "--D", "1",
                 "--epochs", "1", "--n-c", "4"]) == EXIT_USAGE
-    assert f"{data}: record {record} is {want}, record 1 system 'pendulum'" \
-        in capsys.readouterr().err
+    assert f"{data}: record {record} {want}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -557,13 +566,19 @@ def test_nonfinite_checkpoint_is_numeric_error(small_tree, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
-def test_eval_manifest_missing_key_is_usage_error(small_tree):
+@pytest.mark.parametrize("edit", [
+    lambda m: json.dumps({k: v for k, v in m.items() if k != "dataset"}).encode(),
+    lambda m: b"[1, 2]",
+    lambda m: json.dumps({**m, "checkpoint": 5}).encode(),
+    lambda m: b"{not json",
+    lambda m: b"\xff\xfe" + json.dumps(m).encode(),
+], ids=["missing key", "not an object", "checkpoint not a string", "not JSON", "not UTF-8"])
+def test_eval_manifest_missing_key_is_usage_error(small_tree, capsys, edit):
     path = small_tree / "run" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    del manifest["dataset"]
-    path.write_text(json.dumps(manifest))
+    path.write_bytes(edit(json.loads(path.read_text())))
     assert run(["eval", "--run", str(small_tree / "run"),
                 "--stage", "training"]) == EXIT_USAGE
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

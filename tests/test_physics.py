@@ -250,6 +250,40 @@ def test_jsonl_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_jsonl_of_earlier_versions_loads_the_same_tasks(tmp_path):
+    # earlier versions spelled every float format(v, ".17g"): 1.0 as 1, 0.1 as
+    # 0.10000000000000001
+    def old(v):
+        return format(float(v), ".17g")
+
+    def old_rows(a):
+        return "[" + ", ".join("[" + ", ".join(map(old, row)) + "]" for row in a) + "]"
+
+    tasks, _ = generate_task_grid(OrbitGridConfig(r0_count=1, v0r_count=1, v0t_count=1, T=6))
+    tasks += generate_task_grid(PendulumGridConfig(l_count=2, m_count=1, T=6))[0]
+    path = tmp_path / "old.jsonl"
+    path.write_text("".join(
+        f'{{"task_id": {t.task_id}, "system": "{t.system}", "globals": {{'
+        + ", ".join(f'"{k}": {old(v)}' for k, v in t.globals.items())
+        + f'}}, "states": {old_rows(t.states)}, "observations": {old_rows(t.observations)}, '
+        f'"dt": {old(t.dt)}, "seed": {t.seed}}}\n' for t in tasks))
+    assert '"l": 1, "m": 1}' in path.read_text()
+    for a, b in zip(load_tasks_jsonl(path), tasks, strict=True):
+        new = physics.task_from_json(task_to_json(b))
+        assert (a.task_id, a.system, a.globals, a.dt, a.seed) == \
+            (new.task_id, new.system, new.globals, new.dt, new.seed)
+        assert np.array_equal(a.states, new.states)
+        assert np.array_equal(a.observations, new.observations)
+
+
+def test_save_refuses_a_non_finite_task_and_writes_nothing(tmp_path):
+    tasks, _ = generate_task_grid(PendulumGridConfig(l_count=2, m_count=1, T=6))
+    tasks[1].states[3, 0] = np.nan
+    with pytest.raises(ValueError):
+        save_tasks_jsonl(tasks, tmp_path / "tasks.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def jsonl(tmp_path_factory):
     """A saved 4-task JSONL's bytes and its parsed first record, and a path to
