@@ -12,13 +12,18 @@ def fmt(x):
 
 
 def write_atomic(path, data):
-    """Write str or bytes to a sibling temp file, then rename it over path.
-    open() creates the temp file, so path gets the mode a plain open() gives."""
+    """Write str, bytes or an iterable of str chunks to a sibling temp file,
+    then rename it over path; chunks are written as they come, so they need
+    not all be held at once. open() creates the temp file, so path gets the
+    mode a plain open() gives."""
     tmp = f"{path}.{os.getpid()}.tmp"
     f = open(tmp, "xb" if isinstance(data, bytes) else "x")  # never another's temp
     try:
         with f:
-            f.write(data)
+            if isinstance(data, (str, bytes)):
+                f.write(data)
+            else:
+                f.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -28,8 +33,10 @@ def write_atomic(path, data):
 def write_csv(path, header, rows):
     """One comma-separated line per row of an iterable of cell lists;
     integers and strings are written as they are, every other cell through fmt."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (str, numbers.Integral))
-                              else fmt(c) for c in row))
-    write_atomic(path, "\n".join(lines) + "\n")
+    def lines():
+        yield ",".join(header) + "\n"
+        for row in rows:
+            yield ",".join(str(c) if isinstance(c, (str, numbers.Integral))
+                           else fmt(c) for c in row) + "\n"
+
+    write_atomic(path, lines())

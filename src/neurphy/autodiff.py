@@ -14,6 +14,12 @@ written out.
 
 Under no_grad() the graph is not recorded: a new Tensor keeps no parents and
 no vjp, so intermediates are freed as soon as nothing references them.
+
+One backward per graph: backward() frees the graph behind its sweep. Once a
+node's vjp has run, no vjp still to run reads its value, so the node drops its
+value and vjp. It keeps its parents, the root keeps its value, and leaves
+(values and .grad) are untouched. A second backward through a freed node
+raises AutodiffError.
 """
 
 import contextlib
@@ -204,11 +210,13 @@ def matmul(a, b):
 def linear(x, w, b, activation):
     """activation(x @ w + b) as one graph node; x is (batch, k), w (k, n), b (n,).
 
-    The bias and the activation are applied in place on the product, and the
-    output is not checked for NaN/Inf: the caller checks what the layers
-    stack up to."""
+    An x that is not a Tensor is a constant: it is not a parent, and the vjp
+    computes no gradient for it. The bias and the activation are applied in
+    place on the product, and the output is not checked for NaN/Inf: the
+    caller checks what the layers stack up to."""
     if activation not in _FUSED:
         raise ValueError(f"linear cannot fuse activation {activation!r}")
+    constant = not isinstance(x, Tensor)
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.value.ndim != 2 or w.value.shape != (x.value.shape[1], b.value.shape[0]):
         raise ShapeMismatchError(
@@ -220,9 +228,11 @@ def linear(x, w, b, activation):
 
     def vjp(g):
         gh = rule(g, None, out)
-        return gh @ w.value.T, x.value.T @ gh, gh.sum(axis=0)
+        grads = (x.value.T @ gh, gh.sum(axis=0))
+        return grads if constant else (gh @ w.value.T, *grads)
 
-    return Tensor(out, (x, w, b), vjp, _where="linear", _checked=False)
+    return Tensor(out, (w, b) if constant else (x, w, b), vjp, _where="linear",
+                  _checked=False)
 
 
 def _reduction(name, reduce, count):
@@ -344,19 +354,30 @@ def _toposort(root):
 
 
 def backward(root):
-    """Reverse sweep from a scalar root; leaf .grad fields accumulate (+=)."""
+    """Reverse sweep from a scalar root; leaf .grad fields accumulate (+=).
+
+    Frees each interior node's value and vjp once its vjp has run; the root
+    keeps its value. AutodiffError, before any gradient moves, if an earlier
+    backward freed a node of the graph."""
     root = as_tensor(root)
     if root.value.size != 1:
         raise NonScalarRootError(f"backward root must be scalar, got shape {root.shape}")
     order = _toposort(root)
+    if any(node.parents and node._vjp is None for node in order):
+        raise AutodiffError("backward through a graph that an earlier backward freed: "
+                            "one backward per graph")
     grads = {id(root): np.ones_like(root.value)}
     for node in reversed(order):
         # every consumer of node comes before it, so its gradient is complete
+        # and no vjp still to run reads its value
         g = grads.pop(id(node))
         if node.parents:
             for parent, pg in zip(node.parents, node._vjp(g)):
                 prev = grads.get(id(parent))
                 grads[id(parent)] = pg if prev is None else prev + pg
+            node._vjp = None
+            if node is not root:
+                node.value = None
         else:
             node.grad = g.copy() if node.grad is None else node.grad + g
 

@@ -104,7 +104,7 @@ class NeurPhyModel:
         starts = np.flatnonzero(first)
         counts = np.diff(np.append(starts, pairs.shape[0]))
         owner = owner[starts]
-        codes = self.context_encoder(Tensor(pairs[starts]))
+        codes = self.context_encoder(pairs[starts])  # an array: no gradient taken
         weighted = ad.mul(codes, Tensor((counts / sizes[owner])[:, None]))
         return ad.segment_sum(weighted, np.bincount(owner, minlength=sizes.size))
 
@@ -113,7 +113,7 @@ class NeurPhyModel:
         x_pairs = np.asarray(x_pairs, dtype=np.float64)
         if x_pairs.shape[-1] != 2 * self.cfg.obs_dim:
             raise ad.ShapeMismatchError(f"recognize expects width {2 * self.cfg.obs_dim}")
-        return self.recognition_head(self.recognition_mlp(Tensor(x_pairs)))
+        return self.recognition_head(self.recognition_mlp(x_pairs))  # an array: no gradient taken
 
     def transition(self, z, r_c):
         """p(z_t | z_{t-1}, r_c); z is (B, dim_z) and r_c (B, dim_r), one row

@@ -135,6 +135,14 @@ def pendulum_endpoint(s, p):
     return (p.l * math.sin(s.theta), -p.l * math.cos(s.theta))
 
 
+def _overflow(system, point, dt, t):
+    """The ValueError for a state that is not finite at frame t: a step dt too
+    large for the grid point (setting name -> value) overflowed it."""
+    settings = ", ".join(f"{name}={value}" for name, value in point.items())
+    return ValueError(f"{system} trajectory at {settings} with dt={dt} is not finite "
+                      f"at frame {t}: the step overflows")
+
+
 def pendulum_trajectory(p, T, task_id=0, seed=0):
     if T < 2:
         raise ValueError("trajectory needs T >= 2")
@@ -142,6 +150,8 @@ def pendulum_trajectory(p, T, task_id=0, seed=0):
     obs = np.empty((T, 2))
     s = PendulumState(p.theta0, p.omega0)
     for t in range(T):
+        if not (math.isfinite(s.theta) and math.isfinite(s.omega)):
+            raise _overflow("pendulum", {"l": p.l, "m": p.m}, p.dt, t)
         states[t] = (s.theta, s.omega)
         obs[t] = pendulum_endpoint(s, p)
         s = pendulum_step(s, p)
@@ -177,8 +187,9 @@ def conic_radius(p, theta):
 
 
 def orbit_step(s, p, dt):
+    """The next state; its radius is NaN if theta overflowed, as cos(inf) has none."""
     theta = s.theta + dt * p.h / (s.r * s.r)
-    return OrbitState(conic_radius(p, theta), theta)
+    return OrbitState(conic_radius(p, theta) if math.isfinite(theta) else math.nan, theta)
 
 
 def orbit_trajectory(init, T, dt, task_id=0, seed=0):
@@ -190,6 +201,9 @@ def orbit_trajectory(init, T, dt, task_id=0, seed=0):
     obs = np.empty((T, 2))
     s = OrbitState(init.r0, 0.0)
     for t in range(T):
+        if not (math.isfinite(s.r) and math.isfinite(s.theta)):
+            raise _overflow("orbit", {"r0": init.r0, "v0r": init.v0r,
+                                      "v0theta": init.v0theta}, dt, t)
         states[t] = (s.r, s.theta)
         obs[t] = (s.r * math.cos(s.theta), s.r * math.sin(s.theta))
         s = orbit_step(s, p, dt)
@@ -342,7 +356,8 @@ def task_from_json(line):
 
 
 def save_tasks_jsonl(tasks, path):
-    write_atomic(path, "".join(task_to_json(task) + "\n" for task in tasks))
+    """One record per line, each encoded and written before the next."""
+    write_atomic(path, (task_to_json(task) + "\n" for task in tasks))
 
 
 class TaskFile(Sequence):
@@ -356,11 +371,14 @@ class TaskFile(Sequence):
 
     def __init__(self, path):
         self.path = path
+        digest, self._records = hashlib.sha256(), []
+        # line by line, so the file's bytes are held once: in the records
         with open(path, "rb") as f:
-            data = f.read()
-        self._sha256 = hashlib.sha256(data).hexdigest()
-        self._records = [(number, line) for number, line in enumerate(data.split(b"\n"), 1)
-                         if line.strip()]
+            for number, line in enumerate(f, 1):
+                digest.update(line)
+                if line.strip():
+                    self._records.append((number, line))
+        self._sha256 = digest.hexdigest()
 
     def __len__(self):
         return len(self._records)

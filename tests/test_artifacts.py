@@ -1,6 +1,8 @@
 import os
 import stat
 
+import pytest
+
 from neurphy.artifacts import fmt, write_atomic, write_csv
 
 
@@ -21,6 +23,19 @@ def test_write_atomic_replaces_with_plain_open_mode(tmp_path):
     assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
     assert stat.S_IMODE(os.stat(path).st_mode) == stat.S_IMODE(os.stat(plain).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.bin", "plain.txt"]
+
+
+def test_write_atomic_streams_chunks_and_leaves_nothing_when_they_fail(tmp_path):
+    write_atomic(tmp_path / "a.txt", (f"{i}\n" for i in range(3)))
+    assert (tmp_path / "a.txt").read_text() == "0\n1\n2\n"
+
+    def chunks():
+        yield "written\n"
+        raise RuntimeError("the source failed")
+
+    with pytest.raises(RuntimeError, match="the source failed"):
+        write_atomic(tmp_path / "b.txt", chunks())
+    assert os.listdir(tmp_path) == ["a.txt"]
 
 
 def test_write_csv_cells(tmp_path):

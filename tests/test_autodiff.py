@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neurphy import autodiff as ad
-from neurphy.autodiff import (NonFiniteError, NonScalarRootError,
+from neurphy.autodiff import (AutodiffError, NonFiniteError, NonScalarRootError,
                               ShapeMismatchError, Tensor, backward, grad_check)
 from neurphy.nn import _ACTIVATIONS
 
@@ -81,6 +81,26 @@ def test_backward_accumulates_into_leaves():
     backward(ad.tsum(x))
     backward(ad.tsum(x))
     assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+def test_backward_frees_the_graph_it_swept():
+    x, c = Tensor([1.0, 2.0]), Tensor([3.0, -1.0])
+    h = ad.mul(ad.tanh(x), c)
+    root = ad.tsum(ad.square(h))
+    interior = ad._toposort(root)[2:]  # the leaves x and c come first
+    parents, value = [node.parents for node in interior], root.value
+    backward(root)
+    assert all(node.value is None for node in interior[:-1])
+    assert all(node._vjp is None for node in interior)
+    assert [node.parents for node in interior] == parents
+    assert root.value is value
+    grads = x.grad.copy(), c.grad.copy()
+    assert np.array_equal(x.value, [1.0, 2.0]) and np.array_equal(c.value, [3.0, -1.0])
+    with pytest.raises(AutodiffError, match="one backward per graph"):
+        backward(root)
+    with pytest.raises(AutodiffError, match="one backward per graph"):
+        backward(ad.add(root, ad.tsum(x)))  # a new root over the spent graph
+    assert np.array_equal(x.grad, grads[0]) and np.array_equal(c.grad, grads[1])
 
 
 def test_gradcheck_quadratic_near_exact():
@@ -181,6 +201,20 @@ def test_linear_gradcheck_and_matches_composition(activation):
     backward(loss(out_c))
     for f, c in zip(fused, composed):
         assert np.max(np.abs(f.grad - c.grad)) <= 1e-15
+
+
+def test_linear_takes_an_array_input_as_a_constant():
+    rng = np.random.default_rng(7)
+    x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    weights = Tensor(rng.normal(size=(5, 3)))
+    as_array = [Tensor(w), Tensor(b)]
+    as_leaf = [Tensor(x), Tensor(w), Tensor(b)]
+    out = ad.linear(x, *as_array, "relu")
+    assert out.parents == tuple(as_array)
+    backward(ad.tsum(ad.mul(out, weights)))
+    backward(ad.tsum(ad.mul(ad.linear(*as_leaf, "relu"), weights)))
+    for a, t in zip(as_array, as_leaf[1:]):
+        assert np.array_equal(a.grad, t.grad)
 
 
 def test_linear_shape_mismatch():

@@ -179,6 +179,20 @@ def test_generate_rejects_non_finite_or_non_positive_settings(tmp_path, capsys, 
     assert f"{system} {setting} must be a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--system", "pendulum", "--l", "1:3:2", "--m", "1:2:1", "--dt", "1e200"],
+     "pendulum trajectory at l=1.0, m=1.0 with dt=1e+200 is not finite at frame 2"),
+    (["--system", "orbit", "--r0", "1.5:2:2", "--dt", "1e308"],
+     "orbit trajectory at r0=1.5, v0r=0.0, v0theta=0.7 with dt=1e+308 is not finite "
+     "at frame 3"),
+])
+def test_generate_names_the_point_whose_trajectory_overflows(tmp_path, capsys, argv, message):
+    path = tmp_path / "x.jsonl"
+    assert run(["generate", "--out", str(path), "--T", "5", *argv]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_rejects_unknown_config_key(dataset, tmp_path, capsys):
     cfgfile = tmp_path / "train.ini"
     cfgfile.write_text("[train]\nD = 1\nepoch = 5\n")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,24 @@ def test_save_refuses_a_non_finite_task_and_writes_nothing(tmp_path):
     with pytest.raises(ValueError):
         save_tasks_jsonl(tasks, tmp_path / "tasks.jsonl")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_jsonl_write_and_read_hold_the_file_about_once(tmp_path):
+    # records are written and read line by line; joined or read whole, the
+    # write peaked at 2.0x the file and the read at 2.0x
+    tasks, _ = generate_task_grid(PendulumGridConfig(l_count=10, m_count=10))
+    path = tmp_path / "tasks.jsonl"
+    tracemalloc.start()
+    try:
+        save_tasks_jsonl(tasks, path)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        TaskFile(path)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert written < size and read < 1.5 * size
 
 
 @pytest.fixture(scope="module")

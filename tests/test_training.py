@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import types
 import zlib
 
@@ -13,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neurphy
+from neurphy import autodiff as ad
 from neurphy import training
 from neurphy.model import ModelConfig, NeurPhyModel
-from neurphy.physics import (DegenerateSplitError, PendulumParams,
-                             pendulum_trajectory, select_contexts)
+from neurphy.physics import (DegenerateSplitError, PendulumGridConfig, PendulumParams,
+                             generate_task_grid, pendulum_trajectory, select_contexts)
 from neurphy.training import (CheckpointError, CorruptCheckpointError, FormatVersionMismatchError,
-                              LossBreakdown, TrainConfig, checkpoint_load,
+                              LossBreakdown, TrainConfig, backward_batch, checkpoint_load,
                               checkpoint_save, draw_noise, elbo_loss, eligible_frames,
                               keep_freed_heap, split_frames, target_count, train,
                               write_metrics_csv)
@@ -107,6 +109,48 @@ def test_elbo_replay_reproduces_breakdown(setup):
     _, a = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(5))
     _, b = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(5))
     assert a.recon == b.recon and a.kl == b.kl and a.total == b.total
+
+
+def test_elbo_gradients_take_the_frame_pairs_as_constants(setup, monkeypatch):
+    """recognize and encode_context hand linear their frame pairs as arrays,
+    which get no gradient; wrapped in Tensors, the same parameter gradients
+    come out bit for bit, from a graph with two more leaves."""
+    cfg, task, ctx, targets, model = setup
+
+    def gradients():
+        for _, p in model.parameters():
+            p.grad = None
+        total, _ = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(6))
+        nodes = len(ad._toposort(total))
+        ad.backward(total)
+        return nodes, [p.grad for _, p in model.parameters()]
+
+    nodes, got = gradients()
+    linear = ad.linear
+    monkeypatch.setattr(ad, "linear", lambda x, *rest: linear(ad.as_tensor(x), *rest))
+    wrapped_nodes, want = gradients()
+    assert wrapped_nodes == nodes + 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_d5_step_frees_its_graph_behind_the_sweep():
+    # One two-task D=5 chunk of the desk grid (2 x 1,275 transition rows).
+    # Holding the graph through the whole sweep, the step peaked at 12.2 MB;
+    # freeing it behind the sweep, at 9.6 MB.
+    tasks, _ = generate_task_grid(PendulumGridConfig(l_count=2, m_count=2))
+    cfg = TrainConfig(D=5, batch_tasks=2)
+    model = NeurPhyModel(cfg.model, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    backward_batch(model, tasks[:2], cfg, rng)  # first-call allocations
+    for _, p in model.parameters():
+        p.grad = None
+    tracemalloc.start()
+    try:
+        backward_batch(model, tasks[2:], cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11e6
 
 
 @pytest.mark.parametrize("D", [0, 1, 5])
