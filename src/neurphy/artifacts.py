@@ -2,8 +2,9 @@
 Every file the package writes goes through write_atomic, so a crash mid-write
 leaves the previous file or none, never a torn one."""
 
-import numbers
 import os
+
+import numpy as np
 
 
 def fmt(x):
@@ -32,11 +33,12 @@ def write_atomic(path, data):
 
 def write_csv(path, header, rows):
     """One comma-separated line per row of an iterable of cell lists;
-    integers and strings are written as they are, every other cell through fmt."""
+    integers (bools included) and strings are written as they are, every other
+    cell through fmt. The types are concrete: an ABC check per cell is slow."""
     def lines():
         yield ",".join(header) + "\n"
         for row in rows:
-            yield ",".join(str(c) if isinstance(c, (str, numbers.Integral))
+            yield ",".join(str(c) if isinstance(c, (str, int, np.integer))
                            else fmt(c) for c in row) + "\n"
 
     write_atomic(path, lines())

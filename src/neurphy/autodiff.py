@@ -18,8 +18,8 @@ no vjp, so intermediates are freed as soon as nothing references them.
 One backward per graph: backward() frees the graph behind its sweep. Once a
 node's vjp has run, no vjp still to run reads its value, so the node drops its
 value and vjp. It keeps its parents, the root keeps its value, and leaves
-(values and .grad) are untouched. A second backward through a freed node
-raises AutodiffError.
+(values and .grad) are untouched. A second backward through a freed node, or
+passing one to a primitive, raises AutodiffError naming the op that made it.
 """
 
 import contextlib
@@ -67,13 +67,13 @@ class Tensor:
     Tensor is a leaf.
     """
 
-    __slots__ = ("value", "parents", "_vjp", "grad")
+    __slots__ = ("value", "parents", "_vjp", "grad", "_where")
 
     def __init__(self, value, parents=(), vjp=None, _where="tensor", _checked=True):
         v = np.asarray(value, dtype=np.float64)
         if _checked and not np.isfinite(v).all():
             raise NonFiniteError(f"non-finite values in {_where}")
-        self.value = v
+        self.value, self._where = v, _where
         if _recording.get():
             self.parents, self._vjp = tuple(parents), vjp
         else:
@@ -82,9 +82,11 @@ class Tensor:
 
     @property
     def shape(self):
-        return self.value.shape
+        return as_tensor(self).value.shape  # AutodiffError for a freed node
 
     def __repr__(self):
+        if self.value is None:
+            return f"Tensor({self._where}, freed by backward)"
         return f"Tensor(shape={self.value.shape})"
 
     def __add__(self, other):
@@ -92,7 +94,12 @@ class Tensor:
 
 
 def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    if not isinstance(x, Tensor):
+        return Tensor(x)
+    if x.value is None:
+        raise AutodiffError(f"the {x._where} node was freed by an earlier backward: "
+                            "one backward per graph")
+    return x
 
 
 def _unbroadcast(g, shape):

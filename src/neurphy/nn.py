@@ -125,7 +125,7 @@ class GaussianHead:
 def reparameterize(g, noise):
     """mean + std * noise, differentiable in mean and std; noise is a constant."""
     noise = np.asarray(noise, dtype=np.float64)
-    mean, std = g.mean, g.std
+    mean, std = ad.as_tensor(g.mean), ad.as_tensor(g.std)
 
     def vjp(grad):
         return (ad._unbroadcast(grad, mean.shape),
@@ -137,7 +137,7 @@ def reparameterize(g, noise):
 
 def kl_diag_gauss(q, p):
     """KL(q || p) between diagonal Gaussians, summed over the last axis."""
-    qm, qs, pm, ps = q.mean.value, q.std.value, p.mean.value, p.std.value
+    qm, qs, pm, ps = (ad.as_tensor(t).value for t in (q.mean, q.std, p.mean, p.std))
     diff = qm - pm
     p_var = ps * ps
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -5,7 +5,9 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -252,20 +254,26 @@ def elbo_loss(model, task, ctx, targets, cfg, rng):
     return total, breakdown
 
 
-def backward_batch(model, batch, cfg, rng):
+def backward_batch(model, batch, cfg, rng, worker=None):
     """Accumulate into the parameters' .grad the gradient of the minibatch's
     mean ELBO, with one graph and one backward per chunk of its tasks.
 
     For each task in turn, rng draws the context seed, then the frame seed,
     then the task's noise, as a per-task loop of elbo_loss would. A task's
     rows are those of its largest network input, so chunk boundaries are
-    known before any draw. Returns each task's LossBreakdown.
+    known before any draw, and every draw is made before any chunk runs.
+
+    Given a _ChunkWorker and two or more chunks, the worker computes the later
+    half of the chunks while this process computes the earlier half; each
+    worker chunk's gradient is then added into .grad in chunk order, so .grad
+    holds the same sums, in the same order, as when every chunk runs here.
+    Returns each task's LossBreakdown.
     """
     def rows(task):
         return max(cfg.n_c, (cfg.D + 1) * target_count(task.length, cfg.D,
                                                        cfg.target_fraction))
 
-    breakdowns = []
+    jobs = []
     for chunk in _chunks(batch, rows):
         ctxs, targets, noises = [], [], []
         for task in chunk:
@@ -275,11 +283,126 @@ def backward_batch(model, batch, cfg, rng):
             targets.append(split_frames(task.length, cfg.D, cfg.target_fraction,
                                         frame_seed)[0])
             noises.append(draw_noise(rng, targets[-1].size, cfg.D, model.cfg.dim_z))
-        total, chunk_breakdowns = chunk_elbo(model, chunk, ctxs, targets, noises, cfg,
-                                             1.0 / len(batch))
+        jobs.append((chunk, ctxs, targets, noises))
+    weight, own = 1.0 / len(batch), len(jobs)
+    if own > 1 and worker is not None:
+        own = (own + 1) // 2
+        worker.submit(jobs[own:], weight)
+    breakdowns = []
+    for job in jobs[:own]:
+        total, chunk_breakdowns = chunk_elbo(model, *job, cfg, weight)
         ad.backward(total)
         breakdowns.extend(chunk_breakdowns)
+    if own < len(jobs):
+        breakdowns.extend(worker.collect(len(jobs) - own))
     return breakdowns
+
+
+def _worker_allowed():
+    """Whether train may fork a chunk worker: on Linux, with two or more CPUs
+    to run on, from a process with one thread. fork copies only the calling
+    thread, so a lock that another thread (a BLAS pool's, say) held would stay
+    held in the child; with BLAS pinned to one thread the process has one."""
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc to count threads in
+        return False
+
+
+def _serve(conn, parent_end, model, cfg):
+    """The chunk worker's loop: take the parameter values and the chunks of
+    one minibatch, compute every chunk's gradient, then send one message per
+    chunk, in order: (gradient per parameter, None where the chunk's graph
+    does not reach it; the chunk's LossBreakdowns). An exception stops the
+    minibatch's chunks and is sent in place of the chunk that raised it. The
+    loop ends when the parent closes its end."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    parent_end.close()  # so the parent closing its end is EOF here
+    params = [p for _, p in model.parameters()]
+    try:
+        while True:
+            values, jobs, weight = conn.recv()
+            for p, value in zip(params, values):
+                p.value = value
+            results = []
+            try:
+                for job in jobs:
+                    for p in params:
+                        p.grad = None
+                    total, breakdowns = chunk_elbo(model, *job, cfg, weight)
+                    ad.backward(total)
+                    results.append(([p.grad for p in params], breakdowns))
+            except Exception as exc:
+                results.append(exc)
+            # sent only now: a 640 KB gradient does not fit in the pipe, so a
+            # chunk sent while the parent still computes would stall this loop
+            for result in results:
+                conn.send(result)
+    except (EOFError, OSError):
+        pass  # the parent closed its end
+
+
+class _ChunkWorker:
+    """One forked process that computes the chunks backward_batch hands it, for
+    one train call. It is started by the first submit and stopped by close();
+    it inherits the model's structure and the allocator policy at the fork,
+    and receives the parameter values with each minibatch."""
+
+    def __init__(self, model, cfg):
+        self.model, self.cfg = model, cfg
+        self._proc = self._conn = None
+
+    def _start(self):
+        import multiprocessing  # here: importing it costs every CLI call ~10 ms
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(target=_serve, daemon=True,
+                                 args=(child_end, self._conn, self.model, self.cfg))
+        # SIGINT stays blocked in the child until it ignores it
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self._proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        child_end.close()
+
+    def submit(self, jobs, weight):
+        """Send the current parameter values and the chunks to compute."""
+        if self._proc is None:
+            self._start()
+        self._conn.send(([p.value for _, p in self.model.parameters()], jobs, weight))
+
+    def collect(self, n):
+        """Add the n submitted chunks' gradients into .grad, one chunk at a
+        time and in order, as backward would have; returns their
+        LossBreakdowns. Re-raises an exception a chunk raised."""
+        params = [p for _, p in self.model.parameters()]
+        breakdowns = []
+        for _ in range(n):
+            try:
+                result = self._conn.recv()
+            except EOFError:
+                raise RuntimeError("the training worker process exited") from None
+            if isinstance(result, Exception):
+                raise result
+            grads, chunk_breakdowns = result
+            for p, g in zip(params, grads):
+                if p.grad is None:
+                    p.grad = g
+                elif g is not None:
+                    p.grad += g  # backward gave this process's .grad its own array
+            breakdowns.extend(chunk_breakdowns)
+        return breakdowns
+
+    def close(self):
+        if self._proc is not None:
+            self._conn.close()
+            self._proc.terminate()
+            self._proc.join()
+            self._proc = None
 
 
 def _libc_mallopt():
@@ -320,6 +443,10 @@ def train(tasks, cfg, run_dir=None):
 
     Sets a process-wide allocator policy first (keep_freed_heap): freed heap
     stays in the process for the rest of its life.
+
+    Where _worker_allowed, the first minibatch that spans two or more chunks
+    starts one worker process (_ChunkWorker), which is stopped and joined
+    before train returns or raises; the result is the same either way.
     """
     if not tasks:
         raise ValueError("need at least one task")
@@ -329,6 +456,7 @@ def train(tasks, cfg, run_dir=None):
     opt = Adam(model.parameters(), lr=cfg.lr)
     history = []
     ckpt = os.path.join(run_dir, CHECKPOINT_FILE) if run_dir else None
+    worker = _ChunkWorker(model, cfg) if _worker_allowed() else None
     try:
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(tasks))
@@ -336,7 +464,8 @@ def train(tasks, cfg, run_dir=None):
             for lo in range(0, len(tasks), cfg.batch_tasks):
                 opt.zero_grad()
                 breakdowns.extend(backward_batch(
-                    model, [tasks[i] for i in order[lo:lo + cfg.batch_tasks]], cfg, rng))
+                    model, [tasks[i] for i in order[lo:lo + cfg.batch_tasks]], cfg, rng,
+                    worker))
                 opt.step()
             history.append(LossBreakdown(
                 recon=float(np.mean([b.recon for b in breakdowns])),
@@ -349,6 +478,8 @@ def train(tasks, cfg, run_dir=None):
         if ckpt:
             checkpoint_save(model, cfg, ckpt)
     finally:
+        if worker is not None:
+            worker.close()
         if run_dir:
             write_metrics_csv(history, cfg.D, os.path.join(run_dir, METRICS_FILE))
     return model, history

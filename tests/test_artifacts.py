@@ -1,6 +1,7 @@
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from neurphy.artifacts import fmt, write_atomic, write_csv
@@ -42,3 +43,12 @@ def test_write_csv_cells(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["name", "n", "x"], [["a", 3, 0.1], ["b", -1, 2.0]])
     assert path.read_text() == "name,n,x\na,3,0.10000000000000001\nb,-1,2\n"
+
+
+def test_write_csv_cell_types(tmp_path):
+    # as the numbers.Integral check wrote them: bools and numpy integers as
+    # str, numpy bools and floats through fmt
+    path = tmp_path / "t.csv"
+    write_csv(path, ["c"] * 6, [[True, np.int64(7), np.uint8(2), np.True_,
+                                 np.float64(0.5), np.float32(0.1)]])
+    assert path.read_text() == "c,c,c,c,c,c\nTrue,7,2,1,0.5,0.10000000149011612\n"

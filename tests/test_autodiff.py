@@ -10,7 +10,7 @@ import pytest
 from neurphy import autodiff as ad
 from neurphy.autodiff import (AutodiffError, NonFiniteError, NonScalarRootError,
                               ShapeMismatchError, Tensor, backward, grad_check)
-from neurphy.nn import _ACTIVATIONS
+from neurphy.nn import _ACTIVATIONS, DiagGaussian, kl_diag_gauss, reparameterize
 
 
 def test_relu_forward():
@@ -101,6 +101,19 @@ def test_backward_frees_the_graph_it_swept():
     with pytest.raises(AutodiffError, match="one backward per graph"):
         backward(ad.add(root, ad.tsum(x)))  # a new root over the spent graph
     assert np.array_equal(x.grad, grads[0]) and np.array_equal(c.grad, grads[1])
+
+
+def test_a_freed_node_says_so():
+    x = Tensor([1.0, 2.0])
+    h = ad.tanh(x)
+    backward(ad.tsum(h))
+    assert repr(h) == "Tensor(tanh, freed by backward)"
+    g = DiagGaussian(h, x)
+    for op in (lambda: h.shape, lambda: ad.add(h, x), lambda: ad.tsum(h),
+               lambda: ad.concat([x, h]), lambda: kl_diag_gauss(g, g),
+               lambda: reparameterize(g, np.zeros(2))):
+        with pytest.raises(AutodiffError, match="tanh node was freed"):
+            op()
 
 
 def test_gradcheck_quadratic_near_exact():

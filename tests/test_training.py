@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 import neurphy
 from neurphy import autodiff as ad
 from neurphy import training
+from neurphy.autodiff import NonFiniteError
+from neurphy.cli import EXIT_NUMERIC, main
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.physics import (DegenerateSplitError, PendulumGridConfig, PendulumParams,
                              generate_task_grid, pendulum_trajectory, select_contexts)
@@ -269,6 +273,124 @@ def test_interrupted_train_keeps_completed_epochs(tmp_path, monkeypatch, k):
     assert len(lines) == 1 + k
     assert lines == (full / training.METRICS_FILE).read_text().splitlines()[:1 + k]
     assert not (cut / training.CHECKPOINT_FILE).exists()
+
+
+needs_worker = pytest.mark.skipif(
+    not training._worker_allowed(),
+    reason="the chunk worker runs on Linux, with two CPUs, from a one-thread process")
+
+
+@pytest.fixture
+def worker_submits(monkeypatch):
+    """One task per chunk, and the number of chunks each submit handed the
+    worker; each submit also sends the worker a SIGINT, which it ignores."""
+    monkeypatch.setattr(training, "CHUNK_ROWS", 1)
+    submits, submit = [], training._ChunkWorker.submit
+
+    def spy(self, jobs, weight):
+        submits.append(len(jobs))
+        submit(self, jobs, weight)
+        os.kill(self._proc.pid, signal.SIGINT)
+
+    monkeypatch.setattr(training._ChunkWorker, "submit", spy)
+    return submits
+
+
+def serial_only(monkeypatch):
+    monkeypatch.setattr(training, "_worker_allowed", lambda: False)
+
+
+def inject(monkeypatch, fail):
+    """chunk_elbo, raising fail(tasks) where that is an exception."""
+    real = training.chunk_elbo
+
+    def chunk_elbo(model, tasks, *rest):
+        exc = fail(tasks)
+        if exc is not None:
+            raise exc
+        return real(model, tasks, *rest)
+
+    monkeypatch.setattr(training, "chunk_elbo", chunk_elbo)
+
+
+@needs_worker
+@pytest.mark.parametrize("D", [1, 3])
+def test_worker_trains_the_serial_bytes(tmp_path, monkeypatch, worker_submits, D):
+    # 7 tasks at B=5: chunks 1-3 of 5 and 1 of 2 here, the rest in the worker
+    cfg = tiny_train_config(D=D, epochs=3, batch_tasks=5, checkpoint_every=2)
+    runs = []
+    for name in ("worker", "serial"):
+        if name == "serial":
+            serial_only(monkeypatch)
+        (tmp_path / name).mkdir()
+        _, history = train(_tasks(7), cfg, tmp_path / name)
+        runs.append([history] + [(tmp_path / name / f).read_bytes()
+                                 for f in (training.CHECKPOINT_FILE, training.METRICS_FILE)])
+    assert worker_submits == [2, 1] * 3
+    assert runs[0] == runs[1]
+
+
+@needs_worker
+def test_worker_error_exits_as_the_serial_run(tmp_path, monkeypatch, worker_submits, capfd):
+    data = tmp_path / "pend.jsonl"
+    assert main(["generate", "--system", "pendulum", "--out", str(data),
+                 "--l", "1:3:3", "--m", "1:4:3", "--T", "20"]) == 0
+    argv = ["train", "--data", str(data), "--D", "1", "--epochs", "3", "--batch-tasks", "8",
+            "--n-c", "4", "--dim-z", "2", "--dim-r", "2"]  # one batch of 8 chunks per epoch
+    order = []
+    with monkeypatch.context() as m:
+        inject(m, lambda tasks: order.append(tasks[0].task_id))
+        serial_only(m)
+        assert main(argv + ["--out", str(tmp_path / "probe")]) == 0
+    victim = order[15]  # the last chunk of epoch 1: a worker's chunk
+    run = {}  # this run's marker files: the worker reads them too
+
+    def fail(tasks):
+        if tasks[0].task_id == victim:
+            if run["seen"].exists():  # its second chunk: epoch 1
+                run["raised"].write_text(str(os.getpid()))
+                return NonFiniteError("non-finite output of network decoder")
+            run["seen"].touch()
+
+    inject(monkeypatch, fail)
+    results = []
+    for name in ("worker", "serial"):
+        run.update(seen=tmp_path / f"seen-{name}", raised=tmp_path / f"raised-{name}")
+        if name == "serial":
+            serial_only(monkeypatch)
+        capfd.readouterr()
+        assert main(argv + ["--out", str(tmp_path / name)]) == EXIT_NUMERIC
+        results.append((capfd.readouterr(), (tmp_path / name / "metrics.csv").read_text()))
+        assert (int(run["raised"].read_text()) == os.getpid()) == (name == "serial")
+    assert results[0] == results[1]
+    assert "numerical error: non-finite output of network decoder" in results[0][0].err
+    assert "Traceback" not in results[0][0].err
+    assert len(results[0][1].splitlines()) == 2  # the header and epoch 0
+
+
+@needs_worker
+@pytest.mark.parametrize("end", ["returns", "raises", "interrupted"])
+def test_worker_is_stopped_however_train_ends(monkeypatch, worker_submits, capfd, end):
+    parent, calls = os.getpid(), []
+
+    def fail(tasks):
+        calls.append(1)
+        if end == "raises" and os.getpid() != parent:
+            return NonFiniteError("non-finite output of network decoder")
+        if end == "interrupted" and os.getpid() == parent and len(calls) == 5:  # epoch 2
+            return KeyboardInterrupt()
+
+    inject(monkeypatch, fail)
+    expected = {"returns": None, "raises": NonFiniteError, "interrupted": KeyboardInterrupt}
+    cfg = tiny_train_config(epochs=3, batch_tasks=4)
+    if expected[end] is None:
+        train(_tasks(), cfg)
+    else:
+        with pytest.raises(expected[end]):
+            train(_tasks(), cfg)
+    assert worker_submits
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_eligible_frames_and_target_count():
