@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,16 +72,14 @@ class PendulumState:
 
 @dataclass
 class OrbitInit:
+    """An orbit's start at angle theta = 0: radius and velocity."""
     r0: float
     v0r: float
     v0theta: float
     GM: float = 1.0
-    theta0: float = 0.0
 
     def __post_init__(self):
         _check_settings("orbit", vars(self), positive=("r0", "v0theta", "GM"))
-        if self.theta0 != 0.0:
-            raise ValueError(f"orbit theta0 must be 0, got {self.theta0}")
 
 
 @dataclass
@@ -171,7 +169,7 @@ def orbit_params_from_init(init):
     if e < 1e-9:
         theta_n = 0.0
     else:
-        # e*cos(theta_n) from the conic at theta0=0; e*sin(theta_n) from the
+        # e*cos(theta_n) from the conic at theta=0; e*sin(theta_n) from the
         # radial velocity v_r = (GM/h) e sin(theta - theta_n). atan2 of the two
         # stays accurate at the apsides where a bare arccos loses ~sqrt(eps).
         e_cos_tn = r_n * (1.0 + e) / init.r0 - 1.0
@@ -214,15 +212,12 @@ def orbit_trajectory(init, T, dt, task_id=0, seed=0):
 
 @dataclass
 class PendulumGridConfig:
+    """An (l, m) grid; every other physical setting is PendulumParams' default."""
     l_range: tuple = (1.0, 3.0)
     l_count: int = 5
     m_range: tuple = (1.0, 4.0)
     m_count: int = 5
-    g: float = 10.0
-    mu: float = 0.5
-    theta0: float = -math.pi
-    omega0: float = 4.0
-    dt: float = 0.1
+    dt: float = PendulumParams.dt
     T: int = 101
     seed: int = 0
 
@@ -235,7 +230,7 @@ class OrbitGridConfig:
     v0r_count: int = 3
     v0t_range: tuple = (0.7, 0.8)
     v0t_count: int = 3
-    GM: float = 1.0
+    GM: float = OrbitInit.GM
     dt: float = 0.1
     T: int = 101
     seed: int = 0
@@ -259,8 +254,7 @@ def generate_task_grid(cfg):
     Every point's parameters are checked before any trajectory is built.
     """
     if isinstance(cfg, PendulumGridConfig):
-        params = [PendulumParams(l=float(l), m=float(m), g=cfg.g, mu=cfg.mu,
-                                 theta0=cfg.theta0, omega0=cfg.omega0, dt=cfg.dt)
+        params = [PendulumParams(l=float(l), m=float(m), dt=cfg.dt)
                   for l in _axis(cfg, "pendulum", "l") for m in _axis(cfg, "pendulum", "m")]
         return [pendulum_trajectory(p, cfg.T, task_id=i, seed=cfg.seed)
                 for i, p in enumerate(params)], 0

@@ -369,23 +369,33 @@ class _ChunkWorker:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         child_end.close()
 
+    def _died(self):
+        """The ChildProcessError for a worker whose end of the pipe closed."""
+        self._proc.join()  # it closes its end only as it exits
+        return ChildProcessError(f"the training worker process exited with code "
+                                 f"{self._proc.exitcode}")
+
     def submit(self, jobs, weight):
         """Send the current parameter values and the chunks to compute."""
         if self._proc is None:
             self._start()
-        self._conn.send(([p.value for _, p in self.model.parameters()], jobs, weight))
+        try:
+            self._conn.send(([p.value for _, p in self.model.parameters()], jobs, weight))
+        except OSError:  # a broken pipe: the worker is gone
+            raise self._died() from None
 
     def collect(self, n):
         """Add the n submitted chunks' gradients into .grad, one chunk at a
         time and in order, as backward would have; returns their
-        LossBreakdowns. Re-raises an exception a chunk raised."""
+        LossBreakdowns. Re-raises an exception a chunk raised; a
+        ChildProcessError if the worker has exited."""
         params = [p for _, p in self.model.parameters()]
         breakdowns = []
         for _ in range(n):
             try:
                 result = self._conn.recv()
-            except EOFError:
-                raise RuntimeError("the training worker process exited") from None
+            except (EOFError, OSError):  # OSError: it exited mid-message
+                raise self._died() from None
             if isinstance(result, Exception):
                 raise result
             grads, chunk_breakdowns = result

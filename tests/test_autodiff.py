@@ -370,8 +370,9 @@ def test_two_layer_mlp_gradcheck():
 
 
 def test_tracer_patches_every_name():
-    # perfbench's --trace 1 looks up each primitive it patches by name, so a
-    # renamed primitive would crash traced runs. A fresh interpreter keeps the
+    # perfbench's --trace 1 looks up by name every function it patches, in
+    # autodiff, nn, model, physics, training, evaluation and cli, so one
+    # renamed or deleted would crash traced runs. A fresh interpreter keeps the
     # patches out of the other tests.
     root = Path(__file__).resolve().parents[1]
     code = ("import tracer; from neurphy import autodiff as ad\n"

@@ -3,10 +3,13 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import neurphy
 from neurphy import cli, evaluation, physics
 from neurphy.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
 from neurphy.evaluation import STAGES, stage_tasks
@@ -702,3 +705,22 @@ def test_train_mistyped_record_is_usage_error(dataset, tmp_path, capsys, field, 
                 "--epochs", "1", "--n-c", "4"]) == EXIT_USAGE
     assert f"{data}, line 2:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("openblas", [None, "2"])
+def test_cli_pins_blas_unless_the_user_set_it(openblas):
+    # a fresh interpreter, so numpy is first loaded by importing the CLI
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    src = os.path.dirname(os.path.dirname(neurphy.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if openblas:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    code = ("import os, neurphy.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    value, threads = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                    text=True, check=True, timeout=120).stdout.split()
+    assert value == (openblas or "1")
+    if openblas is None:
+        assert threads == "1"  # so train may fork its chunk worker

@@ -19,7 +19,7 @@ import neurphy
 from neurphy import autodiff as ad
 from neurphy import training
 from neurphy.autodiff import NonFiniteError
-from neurphy.cli import EXIT_NUMERIC, main
+from neurphy.cli import EXIT_IO, EXIT_NUMERIC, main
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.physics import (DegenerateSplitError, PendulumGridConfig, PendulumParams,
                              generate_task_grid, pendulum_trajectory, select_contexts)
@@ -314,9 +314,10 @@ def inject(monkeypatch, fail):
 
 
 @needs_worker
-@pytest.mark.parametrize("D", [1, 3])
+@pytest.mark.parametrize("D", [0, 1, 3])
 def test_worker_trains_the_serial_bytes(tmp_path, monkeypatch, worker_submits, D):
-    # 7 tasks at B=5: chunks 1-3 of 5 and 1 of 2 here, the rest in the worker
+    # 7 tasks at B=5: chunks 1-3 of 5 and 1 of 2 here, the rest in the worker;
+    # at D=0 no gradient reaches the context encoder or the transition
     cfg = tiny_train_config(D=D, epochs=3, batch_tasks=5, checkpoint_every=2)
     runs = []
     for name in ("worker", "serial"):
@@ -366,6 +367,53 @@ def test_worker_error_exits_as_the_serial_run(tmp_path, monkeypatch, worker_subm
     assert "numerical error: non-finite output of network decoder" in results[0][0].err
     assert "Traceback" not in results[0][0].err
     assert len(results[0][1].splitlines()) == 2  # the header and epoch 0
+
+
+@needs_worker
+@pytest.mark.parametrize("dies", ["while computing", "before a submit"])
+def test_dead_worker_exits_3(tmp_path, monkeypatch, capfd, dies):
+    # one task per chunk: epoch k's 8 tasks hand the worker 4 chunks in the
+    # (k+1)th submit; the worker is killed in epoch 1's
+    monkeypatch.setattr(training, "CHUNK_ROWS", 1)
+    submits, submit = [], training._ChunkWorker.submit
+
+    def spy(self, jobs, weight):
+        submits.append(len(jobs))
+        if len(submits) == 2 and dies == "before a submit":
+            os.kill(self._proc.pid, signal.SIGKILL)
+            self._proc.join()
+        submit(self, jobs, weight)
+        if len(submits) == 2 and dies == "while computing":
+            os.kill(self._proc.pid, signal.SIGKILL)
+
+    monkeypatch.setattr(training._ChunkWorker, "submit", spy)
+    data, run = tmp_path / "pend.jsonl", tmp_path / "run"
+    assert main(["generate", "--system", "pendulum", "--out", str(data),
+                 "--l", "1:3:3", "--m", "1:4:3", "--T", "20"]) == 0
+    capfd.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(run), "--D", "1", "--epochs", "3",
+                 "--batch-tasks", "8", "--n-c", "4", "--dim-z", "2", "--dim-r", "2"]) == EXIT_IO
+    assert capfd.readouterr().err == "io error: the training worker process exited with code -9\n"
+    assert submits == [4, 4]
+    assert len((run / training.METRICS_FILE).read_text().splitlines()) == 2  # header, epoch 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("host, allowed", [
+    ("two CPUs, one thread", True), ("one CPU", False), ("not Linux", False),
+    ("no /proc", False)])
+def test_worker_allowed_only_where_it_can_fork_safely(monkeypatch, host, allowed):
+    monkeypatch.setattr(sys, "platform", "darwin" if host == "not Linux" else "linux")
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: {0} if host == "one CPU" else {0, 1}, raising=False)
+
+    def listdir(path):
+        if host == "no /proc":
+            raise FileNotFoundError(path)
+        return ["1"]
+
+    monkeypatch.setattr(os, "listdir", listdir)
+    assert training._worker_allowed() == allowed
 
 
 @needs_worker
