@@ -160,7 +160,7 @@ def cmd_train(args):
     select_contexts(shortest, cfg.n_c, "train_random", cfg.seed)
     split_frames(shortest.length, cfg.D, cfg.target_fraction, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    print(f"desk-scale run: {len(meta_train)} meta-train tasks, "
+    print(f"training on {len(meta_train)} meta-train tasks, "
           f"B={cfg.batch_tasks}, {cfg.epochs} epochs "
           f"(paper scale: {PAPER_SCALE['tasks']} tasks, "
           f"B={PAPER_SCALE['batch_tasks']}, {PAPER_SCALE['epochs']} epochs)")

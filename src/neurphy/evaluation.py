@@ -4,8 +4,11 @@ per-overshoot rollout MSE tables, KL reports, and manifold CSV exports.
 Every readout reads one EvalStage, is forward-only (autodiff.no_grad) and runs
 over the stage's tasks in chunks, capped by training.CHUNK_ROWS as training's
 are: each network is called once per chunk (the transition once per step).
+A stage of FORK_TASKS or more tasks runs its chunks through training.fork_map,
+half of them in a forked child; the results, and so every output, are the same.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +17,24 @@ from . import autodiff as ad
 from .artifacts import write_csv
 from .autodiff import Tensor
 from .model import ContextBatch
-from .physics import frame_pairs, select_contexts, split_indices
-from .training import (TrainConfig, _chunks, _stack, draw_noise, eligible_frames, overshoot,
-                       split_frames, task_means)
+from .physics import TaskFile, frame_pairs, select_contexts, split_indices
+from .training import (TrainConfig, _chunks, _stack, draw_noise, eligible_frames, fork_map,
+                       overshoot, split_frames, task_means)
+
+# Stage size, in tasks, from which the record decode, the draw and the MSE and
+# KL readouts split their chunks with a forked child. A fork costs 15-25 ms,
+# most of it the 1,000-1,500 copy-on-write faults the parent takes as it goes
+# on writing to heap pages it shares with the child; the serial work a fork
+# halves is about 1.6 ms per task at D=1 (0.93 s for the 585-task training
+# stage of the 651-task grid). Forking every map of two or more chunks made
+# the 22-task desk stages slower (four stages' eval at D=5: 0.26 -> 0.37 s),
+# so every stage of the 25-task desk grid, and the 66 meta-test tasks of the
+# 651-task grid, stay serial.
+FORK_TASKS = 128
+# Records per decode job. A job's tasks travel back as one message, about
+# 110 KB pickled at 101 frames a task, so the parent's receive buffer stays
+# small.
+DECODE_TASKS = 32
 
 
 class DegenerateTargetError(Exception):
@@ -100,9 +118,13 @@ def fit_poly_r2(features, target, degree, name=""):
 def stage_tasks(tasks, stage, seed):
     """The side of the seeded meta split (split_meta's) that a stage scores.
     Only that side is indexed, so of a physics.TaskFile only the stage's
-    records are decoded."""
+    records are decoded, DECODE_TASKS to a fork_map job."""
     side = split_indices(len(tasks), META_TRAIN_RATIO, seed)[STAGES[stage].meta_test]
-    return [tasks[i] for i in side]
+    jobs = [side[lo:lo + DECODE_TASKS] for lo in range(0, len(side), DECODE_TASKS)]
+    # a list's items cost nothing to take; a TaskFile decodes each as it is taken
+    fork = isinstance(tasks, TaskFile) and len(side) >= FORK_TASKS
+    return [task for chunk in fork_map(lambda idx: [tasks[i] for i in idx], jobs, fork)
+            for task in chunk]
 
 
 def stage_n_c(stage, run_n_c):
@@ -139,11 +161,16 @@ class EvalStage:
     @ad.no_grad()
     def draw(cls, model, tasks, stage, cfg, seed):
         n_c = stage_n_c(stage, cfg.n_c)
-        ctxs = [context_for_stage(task, stage, n_c, seed) for task in tasks]
-        return cls(stage, cfg, seed, tasks,
-                   [stage_frames(task, stage, cfg.D, cfg.target_fraction, seed) for task in tasks],
-                   np.concatenate([model.encode_context(ContextBatch.of(chunk)).value
-                                   for chunk in _chunks(ctxs, lambda ctx: n_c)]))
+
+        def draw_chunk(chunk):
+            ctxs = [context_for_stage(task, stage, n_c, seed) for task in chunk]
+            return ([stage_frames(task, stage, cfg.D, cfg.target_fraction, seed)
+                     for task in chunk], model.encode_context(ContextBatch.of(ctxs)).value)
+
+        drawn = fork_map(draw_chunk, list(_chunks(tasks, lambda task: n_c)),
+                         len(tasks) >= FORK_TASKS)
+        return cls(stage, cfg, seed, tasks, [f for frames, _ in drawn for f in frames],
+                   np.concatenate([r_c for _, r_c in drawn]))
 
 
 def _scored_chunks(s):
@@ -166,9 +193,10 @@ def rollout_mse(model, s):
     of t-d's chain.
     """
     D = s.cfg.D
-    sq_sums = np.zeros(D + 1)
-    count = 0  # entries scored, the same at every distance
-    for chunk in _scored_chunks(s):
+
+    def chunk_sq_sums(chunk):
+        """The chunk's squared errors summed per distance, and how many
+        entries each sum has."""
         tasks, frames, r_c = zip(*chunk)
         obs, scored = _stack(tasks, frames)
         n = scored.size
@@ -188,8 +216,14 @@ def rollout_mse(model, s):
         read = rank[inverse].reshape(D + 1, n)[::-1]  # read[d, j]: distance d of frame j
         pred = model.decode(Tensor(np.concatenate([latent[r] for latent, r in zip(latents, read)])))
         err = pred.value.reshape(D + 1, n, -1) - obs[scored]
-        sq_sums += np.sum(err ** 2, axis=(1, 2))
-        count += err[0].size
+        return np.sum(err ** 2, axis=(1, 2)), err[0].size
+
+    sq_sums = np.zeros(D + 1)
+    count = 0  # entries scored, the same at every distance
+    for chunk_sums, chunk_count in fork_map(chunk_sq_sums, list(_scored_chunks(s)),
+                                            len(s.tasks) >= FORK_TASKS):
+        sq_sums += chunk_sums
+        count += chunk_count
     return MseTable(stage=s.name, mse=list(sq_sums / count))
 
 
@@ -197,17 +231,31 @@ def rollout_mse(model, s):
 def kl_report(model, s):
     """Mean unweighted KL per overshoot distance: training's overshoot
     schedule over chunks of tasks, with the noise elbo_loss would draw task
-    by task, averaged over each task's own rows and then over tasks."""
+    by task, averaged over each task's own rows and then over tasks.
+
+    Each chunk's job carries the generator as that draw leaves it at the
+    chunk's first task, so no more than one chunk's noise is held at a time.
+    """
     rng = np.random.default_rng(s.seed)
-    kls = []
+    jobs = []
     for chunk in _scored_chunks(s):
+        jobs.append((chunk, copy.deepcopy(rng)))
+        for _, frames, _ in chunk:  # past the chunk's noise
+            draw_noise(rng, frames.size, s.cfg.D, model.cfg.dim_z)
+
+    def chunk_kls(job):
+        """Each task's KL per distance, a row per task of the chunk."""
+        chunk, chunk_rng = job
         tasks, frames, r_c = zip(*chunk)
         sizes = [f.size for f in frames]
         obs, targets = _stack(tasks, frames)
-        noises = [draw_noise(rng, size, s.cfg.D, model.cfg.dim_z) for size in sizes]
+        noises = [draw_noise(chunk_rng, size, s.cfg.D, model.cfg.dim_z) for size in sizes]
         _, kl_rows = overshoot(model, obs, targets, Tensor(np.stack(r_c)), s.cfg, noises, sizes)
         means = [task_means(kl.value, sizes) for kl in kl_rows]
-        kls.extend([float(m[i]) for m in means] for i in range(len(sizes)))
+        return [[float(m[i]) for m in means] for i in range(len(sizes))]
+
+    kls = [row for rows in fork_map(chunk_kls, jobs, len(s.tasks) >= FORK_TASKS)
+           for row in rows]
     return list(np.mean(np.asarray(kls), axis=0))
 
 

@@ -299,10 +299,11 @@ def backward_batch(model, batch, cfg, rng, worker=None):
 
 
 def _worker_allowed():
-    """Whether train may fork a chunk worker: on Linux, with two or more CPUs
-    to run on, from a process with one thread. fork copies only the calling
-    thread, so a lock that another thread (a BLAS pool's, say) held would stay
-    held in the child; with BLAS pinned to one thread the process has one."""
+    """Whether this process may fork a worker (train's chunk worker, or
+    fork_map's child): on Linux, with two or more CPUs to run on, from a
+    process with one thread. fork copies only the calling thread, so a lock
+    that another thread (a BLAS pool's, say) held would stay held in the
+    child; with BLAS pinned to one thread the process has one."""
     if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
         return False
     try:
@@ -311,36 +312,75 @@ def _worker_allowed():
         return False
 
 
-def _serve(conn, parent_end, model, cfg):
-    """The chunk worker's loop: take the parameter values and the chunks of
-    one minibatch, compute every chunk's gradient, then send one message per
-    chunk, in order: (gradient per parameter, None where the chunk's graph
-    does not reach it; the chunk's LossBreakdowns). An exception stops the
-    minibatch's chunks and is sent in place of the chunk that raised it. The
-    loop ends when the parent closes its end."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+def _forked(name, target, *args):
+    """Start target(conn, *args) in a forked child process called name; returns
+    (the process, this process's end of the pipe). The child inherits this
+    process's memory at the fork, and ignores SIGINT: Ctrl-C is the parent's
+    to handle. Callers check _worker_allowed first."""
+    import multiprocessing  # here: importing it costs every CLI call ~10 ms
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+    proc = ctx.Process(target=_child, name=name, daemon=True,
+                       args=(target, child_end, conn, *args))
+    # SIGINT stays blocked in the child until it ignores it
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        proc.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    child_end.close()
+    return proc, conn
+
+
+def _child(target, conn, parent_end, *args):
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     parent_end.close()  # so the parent closing its end is EOF here
+    target(conn, *args)
+
+
+def _died(proc):
+    """The ChildProcessError for a child whose end of the pipe closed."""
+    proc.join()  # it closes its end only as it exits
+    return ChildProcessError(f"the {proc.name} process exited with code {proc.exitcode}")
+
+
+def _run_jobs(conn, fn, jobs):
+    """fn of each job in turn, then one message per job, in order. An
+    exception stops the jobs and is sent in place of the job that raised it.
+    Nothing is sent before the last job is done: a message larger than the
+    pipe holds, sent while the parent still computes, would stall this
+    process."""
+    results = []
+    try:
+        for job in jobs:
+            results.append(fn(job))
+    except Exception as exc:
+        results.append(exc)
+    for result in results:
+        conn.send(result)
+
+
+def _serve(conn, model, cfg):
+    """The chunk worker's loop: take the parameter values and the chunks of
+    one minibatch, and _run_jobs the chunks; a chunk's message is (gradient
+    per parameter, None where the chunk's graph does not reach it; the
+    chunk's LossBreakdowns). The loop ends when the parent closes its end."""
     params = [p for _, p in model.parameters()]
+
+    def gradient(job, weight):
+        for p in params:
+            p.grad = None
+        total, breakdowns = chunk_elbo(model, *job, cfg, weight)
+        ad.backward(total)
+        return [p.grad for p in params], breakdowns
+
     try:
         while True:
             values, jobs, weight = conn.recv()
             for p, value in zip(params, values):
                 p.value = value
-            results = []
-            try:
-                for job in jobs:
-                    for p in params:
-                        p.grad = None
-                    total, breakdowns = chunk_elbo(model, *job, cfg, weight)
-                    ad.backward(total)
-                    results.append(([p.grad for p in params], breakdowns))
-            except Exception as exc:
-                results.append(exc)
-            # sent only now: a 640 KB gradient does not fit in the pipe, so a
-            # chunk sent while the parent still computes would stall this loop
-            for result in results:
-                conn.send(result)
+            _run_jobs(conn, lambda job: gradient(job, weight), jobs)
     except (EOFError, OSError):
         pass  # the parent closed its end
 
@@ -355,34 +395,14 @@ class _ChunkWorker:
         self.model, self.cfg = model, cfg
         self._proc = self._conn = None
 
-    def _start(self):
-        import multiprocessing  # here: importing it costs every CLI call ~10 ms
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_end = ctx.Pipe()
-        self._proc = ctx.Process(target=_serve, daemon=True,
-                                 args=(child_end, self._conn, self.model, self.cfg))
-        # SIGINT stays blocked in the child until it ignores it
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            self._proc.start()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        child_end.close()
-
-    def _died(self):
-        """The ChildProcessError for a worker whose end of the pipe closed."""
-        self._proc.join()  # it closes its end only as it exits
-        return ChildProcessError(f"the training worker process exited with code "
-                                 f"{self._proc.exitcode}")
-
     def submit(self, jobs, weight):
         """Send the current parameter values and the chunks to compute."""
         if self._proc is None:
-            self._start()
+            self._proc, self._conn = _forked("training worker", _serve, self.model, self.cfg)
         try:
             self._conn.send(([p.value for _, p in self.model.parameters()], jobs, weight))
         except OSError:  # a broken pipe: the worker is gone
-            raise self._died() from None
+            raise _died(self._proc) from None
 
     def collect(self, n):
         """Add the n submitted chunks' gradients into .grad, one chunk at a
@@ -392,13 +412,7 @@ class _ChunkWorker:
         params = [p for _, p in self.model.parameters()]
         breakdowns = []
         for _ in range(n):
-            try:
-                result = self._conn.recv()
-            except (EOFError, OSError):  # OSError: it exited mid-message
-                raise self._died() from None
-            if isinstance(result, Exception):
-                raise result
-            grads, chunk_breakdowns = result
+            grads, chunk_breakdowns = _receive(self._conn, self._proc)
             for p, g in zip(params, grads):
                 if p.grad is None:
                     p.grad = g
@@ -409,10 +423,51 @@ class _ChunkWorker:
 
     def close(self):
         if self._proc is not None:
-            self._conn.close()
-            self._proc.terminate()
-            self._proc.join()
+            _stop(self._proc, self._conn)
             self._proc = None
+
+
+def _receive(conn, proc):
+    """The next result the child sent; re-raises an exception it sent in its
+    place, and raises a ChildProcessError if the child has exited."""
+    try:
+        result = conn.recv()
+    except (EOFError, OSError):  # OSError: it exited mid-message
+        raise _died(proc) from None
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _stop(proc, conn):
+    # terminated first: a child blocked sending a result that the pipe cannot
+    # hold would never exit by itself, and closing the pipe under it would end
+    # it with a BrokenPipeError traceback
+    proc.terminate()
+    conn.close()
+    proc.join()
+
+
+def fork_map(fn, jobs, fork):
+    """[fn(job) for job in jobs]. Given fork, two or more jobs and
+    _worker_allowed, a forked child (the evaluation worker) computes the later
+    half of the jobs while this process computes the earlier half, and its
+    results are put after this process's, in job order. The child inherits fn
+    and the jobs at the fork, so only results travel. An exception fn raises
+    in the child is re-raised here once this process's half is done, so the
+    first job in order that raises is the one whose exception is raised, as
+    in the loop; a ChildProcessError if the child died. The child is stopped
+    and joined before fork_map returns or raises."""
+    if not (fork and len(jobs) > 1 and _worker_allowed()):
+        return [fn(job) for job in jobs]
+    own = (len(jobs) + 1) // 2
+    proc, conn = _forked("evaluation worker", _run_jobs, fn, jobs[own:])
+    try:
+        results = [fn(job) for job in jobs[:own]]
+        results.extend(_receive(conn, proc) for _ in jobs[own:])
+        return results
+    finally:
+        _stop(proc, conn)
 
 
 def _libc_mallopt():

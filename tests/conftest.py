@@ -1,5 +1,6 @@
-"""Suite-wide setup: BLAS pinned to one thread, and a guard that fails any
-test leaving a child process or an extra thread running."""
+"""Suite-wide setup: BLAS pinned to one thread, a guard that fails any test
+leaving a child process or an extra thread running, and the needs_worker mark
+of the tests that fork a worker process."""
 
 import multiprocessing
 import os
@@ -11,6 +12,12 @@ import pytest
 # keeps the process single-threaded, so training may fork its chunk worker.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+from neurphy import training  # noqa: E402  (numpy loads after the pin)
+
+needs_worker = pytest.mark.skipif(
+    not training._worker_allowed(),
+    reason="worker processes run on Linux, with two CPUs, from a one-thread process")
 
 
 def _threads():

@@ -243,9 +243,10 @@ def test_train_determinism(dataset, tmp_path, capsys):
                   "--n-c", "4", "--dim-z", "2", "--dim-r", "2"])
         assert rc == 0
         outs.append(out)
-    # the wall time is printed, and kept out of every artifact
-    final = capsys.readouterr().out.strip().split("\n")[-1]
-    assert re.search(r"trained in \S+ s \(\S+ tasks/s\)", final), final
+    # the run's size and the wall time are printed, and kept out of every artifact
+    printed = capsys.readouterr().out.strip().split("\n")
+    assert printed[0].startswith("training on 8 meta-train tasks, B=2, 1 epochs ("), printed[0]
+    assert re.search(r"trained in \S+ s \(\S+ tasks/s\)", printed[-1]), printed[-1]
     for artifact in ("model.ckpt", "metrics.csv", "manifest.json"):
         assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 

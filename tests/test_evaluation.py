@@ -1,14 +1,24 @@
+import hashlib
+import json
+import os
+import shutil
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurphy.evaluation import (DegenerateTargetError, EvalStage, MseTable, R2Report,
+from conftest import needs_worker
+from neurphy import evaluation, physics, training
+from neurphy.autodiff import NonFiniteError
+from neurphy.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
+from neurphy.evaluation import (STAGES, DegenerateTargetError, EvalStage, MseTable, R2Report,
                                 UnderdeterminedFitError, export_manifold,
                                 fit_poly_r2, global_r2_table, kl_report,
                                 rollout_mse, stage_n_c, stage_tasks)
 from neurphy.model import ModelConfig, NeurPhyModel
-from neurphy.physics import PendulumGridConfig, generate_task_grid
+from neurphy.physics import PendulumGridConfig, generate_task_grid, load_tasks_jsonl
 from neurphy.training import TrainConfig
 
 
@@ -151,3 +161,160 @@ def test_stage_table(tasks):
     test_ids = {t.task_id for t in stage_tasks(tasks, "metatest2", 0)}
     assert test_ids and not train_ids & test_ids
     assert len(train_ids | test_ids) == len(tasks)
+
+
+@pytest.fixture(scope="module")
+def grid_tree(request, tmp_path_factory):
+    """A directory holding a 25-task dataset, whose meta split leaves 22
+    meta-train and 3 meta-test tasks, and a run trained on it at D=1, or at
+    the D a test passes in as this fixture's parameter."""
+    D = getattr(request, "param", 1)
+    tree = tmp_path_factory.mktemp(f"grid-d{D}")
+    assert main(["generate", "--system", "pendulum", "--out", str(tree / "pend.jsonl"),
+                 "--l", "1:3:5", "--m", "1:4:5", "--T", "24"]) == 0
+    assert main(["train", "--data", str(tree / "pend.jsonl"), "--out", str(tree / "run"),
+                 "--D", str(D), "--epochs", "1", "--batch-tasks", "11", "--n-c", "4",
+                 "--dim-z", "2", "--dim-r", "2"]) == 0
+    return tree
+
+
+def eval_every_stage(run):
+    """Each stage's eval, the manifold exported at metatest20; returns the
+    bytes of every CSV eval wrote."""
+    for stage in STAGES:
+        argv = ["eval", "--run", str(run), "--stage", stage]
+        if stage == "metatest20":
+            argv += ["--manifold-out", str(run / "mani")]
+        assert main(argv) == 0
+    return {p.name: p.read_bytes() for p in sorted(run.glob("*.csv"))
+            if p.name != training.METRICS_FILE}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One task per chunk and per decode job, and the name of each process
+    forked; each is sent a SIGINT as it starts, which it ignores."""
+    monkeypatch.setattr(training, "CHUNK_ROWS", 1)
+    monkeypatch.setattr(evaluation, "DECODE_TASKS", 1)
+    names, forked = [], training._forked
+
+    def spy(name, *rest):
+        proc, conn = forked(name, *rest)
+        names.append(name)
+        os.kill(proc.pid, signal.SIGINT)
+        return proc, conn
+
+    monkeypatch.setattr(training, "_forked", spy)
+    return names
+
+
+@needs_worker
+@pytest.mark.parametrize("grid_tree", [1, 3], indirect=True, ids=["D=1", "D=3"])
+def test_eval_fork_writes_the_serial_bytes(grid_tree, monkeypatch, forks):
+    run = grid_tree / "run"
+    default = eval_every_stage(run)
+    assert forks == []  # no stage of the 25-task grid reaches FORK_TASKS
+    monkeypatch.setattr(evaluation, "FORK_TASKS", 1)
+    forked = eval_every_stage(run)
+    # in each stage: the decode, the draw, and the MSE and KL readouts
+    assert forks == ["evaluation worker"] * 16
+    monkeypatch.setattr(training, "_worker_allowed", lambda: False)
+    assert eval_every_stage(run) == forked == default
+    assert len(forked) == 14  # mse, kl and r2 of each stage, and the manifold's two
+
+
+@needs_worker
+def test_eval_child_error_exits_as_the_serial_run(grid_tree, monkeypatch, forks, capfd,
+                                                  tmp_path):
+    run, parent, raised = grid_tree / "run", os.getpid(), tmp_path / "raised"
+    monkeypatch.setattr(evaluation, "FORK_TASKS", 1)
+    # the last chunk of the stage's MSE readout: the child's
+    victim = stage_tasks(load_tasks_jsonl(grid_tree / "pend.jsonl"), "training", 0)[-1]
+    stack = evaluation._stack
+
+    def fail(tasks, frames):
+        if tasks[0].task_id == victim.task_id:
+            raised.write_text(str(os.getpid()))
+            raise NonFiniteError("non-finite output of network decoder")
+        return stack(tasks, frames)
+
+    monkeypatch.setattr(evaluation, "_stack", fail)
+    results = []
+    for name in ("fork", "serial"):
+        if name == "serial":
+            monkeypatch.setattr(training, "_worker_allowed", lambda: False)
+        capfd.readouterr()
+        assert main(["eval", "--run", str(run), "--stage", "training"]) == EXIT_NUMERIC
+        results.append(capfd.readouterr())
+        assert (int(raised.read_text()) == parent) == (name == "serial")
+    assert results[0] == results[1]
+    assert results[0].err == "numerical error: non-finite output of network decoder\n"
+    assert forks == ["evaluation worker"] * 3  # the decode, the draw and the MSE readout
+
+
+@needs_worker
+def test_eval_child_names_the_record_that_does_not_decode(grid_tree, monkeypatch, forks,
+                                                          capfd, tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(grid_tree, tree)
+    data, manifest_path = tree / "pend.jsonl", tree / "run" / "manifest.json"
+    side = physics.split_indices(25, evaluation.META_TRAIN_RATIO, 0)[0]
+    # the stage's last record, which the child decodes; the manifest takes
+    # the corrupt file's digest, so the record is read
+    lines = data.read_bytes().split(b"\n")
+    lines[side[-1]] = lines[side[-1]][:100]
+    data.write_bytes(b"\n".join(lines))
+    manifest = json.loads(manifest_path.read_text())
+    manifest["dataset_sha256"] = hashlib.sha256(data.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    monkeypatch.setattr(evaluation, "FORK_TASKS", 1)
+    decoded, task_from_json = [], physics.task_from_json
+    monkeypatch.setattr(physics, "task_from_json",
+                        lambda line: decoded.append(line) or task_from_json(line))
+    errors = []
+    for name in ("fork", "serial"):
+        if name == "serial":
+            monkeypatch.setattr(training, "_worker_allowed", lambda: False)
+        capfd.readouterr()
+        assert main(["eval", "--run", str(tree / "run"), "--stage", "training"]) == EXIT_USAGE
+        errors.append(capfd.readouterr().err)
+        if name == "fork":
+            assert len(decoded) == 11 and forks == ["evaluation worker"]
+    assert errors[0] == errors[1]
+    path = os.path.join(tree / "run", "..", "pend.jsonl")  # as the manifest places it
+    assert errors[0].startswith(f"error: {path}, line {side[-1] + 1}: JSONDecodeError")
+
+
+@needs_worker
+@pytest.mark.parametrize("readout", ["decode", "draw", "rollout_mse", "kl_report"])
+def test_dead_eval_child_exits_3(grid_tree, monkeypatch, forks, capfd, readout):
+    module, name, n = {"decode": (physics, "task_from_json", 1),
+                       "draw": (evaluation, "context_for_stage", 2),
+                       "rollout_mse": (evaluation, "frame_pairs", 3),
+                       "kl_report": (evaluation, "overshoot", 4)}[readout]
+    real, parent = getattr(module, name), os.getpid()
+
+    def killed_in_the_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, killed_in_the_child)
+    monkeypatch.setattr(evaluation, "FORK_TASKS", 1)
+    capfd.readouterr()
+    assert main(["eval", "--run", str(grid_tree / "run"), "--stage", "training"]) == EXIT_IO
+    assert capfd.readouterr() == ("", "io error: the evaluation worker process exited with "
+                                      "code -9\n")
+    assert forks == ["evaluation worker"] * n
+
+
+@needs_worker
+def test_fork_map_stops_its_child_when_its_own_half_raises(capfd):
+    def fn(job):
+        if job == 0:
+            raise NonFiniteError("the first job")
+        return np.zeros(1 << 17)  # 1 MB, more than the pipe holds: the child blocks
+
+    with pytest.raises(NonFiniteError, match="the first job"):
+        training.fork_map(fn, [0, 1, 2, 3], True)
+    assert "Traceback" not in capfd.readouterr().err

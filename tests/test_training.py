@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neurphy
+from conftest import needs_worker
 from neurphy import autodiff as ad
 from neurphy import training
 from neurphy.autodiff import NonFiniteError
@@ -273,11 +274,6 @@ def test_interrupted_train_keeps_completed_epochs(tmp_path, monkeypatch, k):
     assert len(lines) == 1 + k
     assert lines == (full / training.METRICS_FILE).read_text().splitlines()[:1 + k]
     assert not (cut / training.CHECKPOINT_FILE).exists()
-
-
-needs_worker = pytest.mark.skipif(
-    not training._worker_allowed(),
-    reason="the chunk worker runs on Linux, with two CPUs, from a one-thread process")
 
 
 @pytest.fixture
