@@ -51,7 +51,7 @@ class UnderdeterminedFitError(ValueError):
 
 @dataclass(frozen=True)
 class Stage:
-    meta_test: bool  # score the held-out tasks of split_meta, else the meta-train ones
+    meta_test: bool  # score the held-out side of split_indices, else the meta-train side
     ctx_mode: str  # select_contexts mode
     n_c: int | None  # context pairs; None means the run's own n_c
     frames: str  # "targets" or "heldout" of split_frames, or "all" eligible frames
@@ -116,9 +116,9 @@ def fit_poly_r2(features, target, degree, name=""):
 
 
 def stage_tasks(tasks, stage, seed):
-    """The side of the seeded meta split (split_meta's) that a stage scores.
-    Only that side is indexed, so of a physics.TaskFile only the stage's
-    records are decoded, DECODE_TASKS to a fork_map job."""
+    """The side of the seeded meta split (physics.split_indices) that a stage
+    scores. Only that side is indexed, so of a physics.TaskFile only the
+    stage's records are decoded, DECODE_TASKS to a fork_map job."""
     side = split_indices(len(tasks), META_TRAIN_RATIO, seed)[STAGES[stage].meta_test]
     jobs = [side[lo:lo + DECODE_TASKS] for lo in range(0, len(side), DECODE_TASKS)]
     # a list's items cost nothing to take; a TaskFile decodes each as it is taken

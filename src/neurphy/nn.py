@@ -183,10 +183,6 @@ class Adam:
         self.m = {name: np.zeros_like(p.value) for name, p in self.params}
         self.v = {name: np.zeros_like(p.value) for name, p in self.params}
 
-    def zero_grad(self):
-        for _, p in self.params:
-            p.grad = None
-
     def step(self):
         """One update of every parameter with a gradient. The moments are
         updated in place, in the operation order of

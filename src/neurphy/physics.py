@@ -286,12 +286,6 @@ def split_indices(n, ratio, seed):
     return order[:n_train], order[n_train:]
 
 
-def split_meta(tasks, ratio, seed):
-    """Seeded shuffle then split into (meta_train, meta_test); disjoint, covering."""
-    train, test = split_indices(len(tasks), ratio, seed)
-    return [tasks[i] for i in train], [tasks[i] for i in test]
-
-
 def frame_pairs(observations, frames):
     """Each frame t's recognition input: the row [x_{t-1}, x_t] of observations."""
     frames = np.asarray(frames)

@@ -254,25 +254,48 @@ def elbo_loss(model, task, ctx, targets, cfg, rng):
     return total, breakdown
 
 
+def chunk_gradient(model, cfg):
+    """The function that computes one backward_batch job, in this process or
+    in the worker's: it loads the job's parameter values into model, clears
+    .grad, runs chunk_elbo and backward, and returns (the gradient of each
+    parameter, None where the chunk's graph does not reach it; the chunk's
+    LossBreakdowns)."""
+    params = [p for _, p in model.parameters()]
+
+    def gradient(job):
+        values, weight, *chunk = job
+        for p, value in zip(params, values):
+            p.value, p.grad = value, None
+        total, breakdowns = chunk_elbo(model, *chunk, cfg, weight)
+        ad.backward(total)
+        return [p.grad for p in params], breakdowns
+
+    return gradient
+
+
 def backward_batch(model, batch, cfg, rng, worker=None):
-    """Accumulate into the parameters' .grad the gradient of the minibatch's
-    mean ELBO, with one graph and one backward per chunk of its tasks.
+    """Set the parameters' .grad to the gradient of the minibatch's mean ELBO,
+    with one graph and one backward per chunk of its tasks; None for a
+    parameter that no chunk's graph reaches.
 
     For each task in turn, rng draws the context seed, then the frame seed,
     then the task's noise, as a per-task loop of elbo_loss would. A task's
     rows are those of its largest network input, so chunk boundaries are
     known before any draw, and every draw is made before any chunk runs.
 
-    Given a _ChunkWorker and two or more chunks, the worker computes the later
-    half of the chunks while this process computes the earlier half; each
-    worker chunk's gradient is then added into .grad in chunk order, so .grad
-    holds the same sums, in the same order, as when every chunk runs here.
-    Returns each task's LossBreakdown.
+    Each chunk is a job of chunk_gradient, run by worker's map (a _Worker,
+    which may compute the later half in its child) or here. Each chunk's
+    gradient is added into one sum per parameter, in chunk order and in
+    place, wherever it ran, so .grad is the same either way. Returns each
+    task's LossBreakdown.
     """
     def rows(task):
         return max(cfg.n_c, (cfg.D + 1) * target_count(task.length, cfg.D,
                                                        cfg.target_fraction))
 
+    params = [p for _, p in model.parameters()]
+    # one list object in every job, so a pickle of the jobs holds the values once
+    values, weight = [p.value for p in params], 1.0 / len(batch)
     jobs = []
     for chunk in _chunks(batch, rows):
         ctxs, targets, noises = [], [], []
@@ -283,27 +306,28 @@ def backward_batch(model, batch, cfg, rng, worker=None):
             targets.append(split_frames(task.length, cfg.D, cfg.target_fraction,
                                         frame_seed)[0])
             noises.append(draw_noise(rng, targets[-1].size, cfg.D, model.cfg.dim_z))
-        jobs.append((chunk, ctxs, targets, noises))
-    weight, own = 1.0 / len(batch), len(jobs)
-    if own > 1 and worker is not None:
-        own = (own + 1) // 2
-        worker.submit(jobs[own:], weight)
-    breakdowns = []
-    for job in jobs[:own]:
-        total, chunk_breakdowns = chunk_elbo(model, *job, cfg, weight)
-        ad.backward(total)
+        jobs.append((values, weight, chunk, ctxs, targets, noises))
+    sums, breakdowns = [None] * len(params), []
+    for grads, chunk_breakdowns in (worker.map(jobs) if worker is not None
+                                    else map(chunk_gradient(model, cfg), jobs)):
+        for i, g in enumerate(grads):
+            if sums[i] is None:
+                sums[i] = g  # an array of this chunk's own
+            elif g is not None:
+                sums[i] += g
         breakdowns.extend(chunk_breakdowns)
-    if own < len(jobs):
-        breakdowns.extend(worker.collect(len(jobs) - own))
+        del grads, g  # so that no chunk's gradient stays alive while the next one runs
+    for p, total in zip(params, sums):
+        p.grad = total
     return breakdowns
 
 
 def _worker_allowed():
-    """Whether this process may fork a worker (train's chunk worker, or
-    fork_map's child): on Linux, with two or more CPUs to run on, from a
-    process with one thread. fork copies only the calling thread, so a lock
-    that another thread (a BLAS pool's, say) held would stay held in the
-    child; with BLAS pinned to one thread the process has one."""
+    """Whether this process may fork a _Worker's child: on Linux, with two or
+    more CPUs to run on, from a process with one thread. fork copies only the
+    calling thread, so a lock that another thread (a BLAS pool's, say) held
+    would stay held in the child; with BLAS pinned to one thread the process
+    has one."""
     if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
         return False
     try:
@@ -312,162 +336,131 @@ def _worker_allowed():
         return False
 
 
-def _forked(name, target, *args):
-    """Start target(conn, *args) in a forked child process called name; returns
-    (the process, this process's end of the pipe). The child inherits this
-    process's memory at the fork, and ignores SIGINT: Ctrl-C is the parent's
-    to handle. Callers check _worker_allowed first."""
-    import multiprocessing  # here: importing it costs every CLI call ~10 ms
-    ctx = multiprocessing.get_context("fork")
-    conn, child_end = ctx.Pipe()
-    proc = ctx.Process(target=_child, name=name, daemon=True,
-                       args=(target, child_end, conn, *args))
-    # SIGINT stays blocked in the child until it ignores it
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        proc.start()
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    child_end.close()
-    return proc, conn
+class _Worker:
+    """map(jobs) yields fn(job) for each job, in order, each computed as it is
+    asked for. Given fork, two or more jobs and _worker_allowed, one child
+    process (called name) computes the later half of the jobs while this
+    process computes the earlier half. The child is forked at the first such
+    map and inherits fn, the allocator policy and that map's half; later maps
+    send it their half through the pipe, and it sends back the results.
 
+    An exception fn raises in the child is re-raised here once this process's
+    half is done, so the first job in order that raises is the one whose
+    exception is raised, as in a loop; a child that has exited raises a
+    ChildProcessError naming its exit code. Any exception out of map, and the
+    end of a with block, stop the child."""
 
-def _child(target, conn, parent_end, *args):
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    parent_end.close()  # so the parent closing its end is EOF here
-    target(conn, *args)
-
-
-def _died(proc):
-    """The ChildProcessError for a child whose end of the pipe closed."""
-    proc.join()  # it closes its end only as it exits
-    return ChildProcessError(f"the {proc.name} process exited with code {proc.exitcode}")
-
-
-def _run_jobs(conn, fn, jobs):
-    """fn of each job in turn, then one message per job, in order. An
-    exception stops the jobs and is sent in place of the job that raised it.
-    Nothing is sent before the last job is done: a message larger than the
-    pipe holds, sent while the parent still computes, would stall this
-    process."""
-    results = []
-    try:
-        for job in jobs:
-            results.append(fn(job))
-    except Exception as exc:
-        results.append(exc)
-    for result in results:
-        conn.send(result)
-
-
-def _serve(conn, model, cfg):
-    """The chunk worker's loop: take the parameter values and the chunks of
-    one minibatch, and _run_jobs the chunks; a chunk's message is (gradient
-    per parameter, None where the chunk's graph does not reach it; the
-    chunk's LossBreakdowns). The loop ends when the parent closes its end."""
-    params = [p for _, p in model.parameters()]
-
-    def gradient(job, weight):
-        for p in params:
-            p.grad = None
-        total, breakdowns = chunk_elbo(model, *job, cfg, weight)
-        ad.backward(total)
-        return [p.grad for p in params], breakdowns
-
-    try:
-        while True:
-            values, jobs, weight = conn.recv()
-            for p, value in zip(params, values):
-                p.value = value
-            _run_jobs(conn, lambda job: gradient(job, weight), jobs)
-    except (EOFError, OSError):
-        pass  # the parent closed its end
-
-
-class _ChunkWorker:
-    """One forked process that computes the chunks backward_batch hands it, for
-    one train call. It is started by the first submit and stopped by close();
-    it inherits the model's structure and the allocator policy at the fork,
-    and receives the parameter values with each minibatch."""
-
-    def __init__(self, model, cfg):
-        self.model, self.cfg = model, cfg
+    def __init__(self, name, fn, fork=True):
+        self.name, self.fn, self.fork = name, fn, fork
         self._proc = self._conn = None
 
-    def submit(self, jobs, weight):
-        """Send the current parameter values and the chunks to compute."""
-        if self._proc is None:
-            self._proc, self._conn = _forked("training worker", _serve, self.model, self.cfg)
-        try:
-            self._conn.send(([p.value for _, p in self.model.parameters()], jobs, weight))
-        except OSError:  # a broken pipe: the worker is gone
-            raise _died(self._proc) from None
+    def __enter__(self):
+        return self
 
-    def collect(self, n):
-        """Add the n submitted chunks' gradients into .grad, one chunk at a
-        time and in order, as backward would have; returns their
-        LossBreakdowns. Re-raises an exception a chunk raised; a
-        ChildProcessError if the worker has exited."""
-        params = [p for _, p in self.model.parameters()]
-        breakdowns = []
-        for _ in range(n):
-            grads, chunk_breakdowns = _receive(self._conn, self._proc)
-            for p, g in zip(params, grads):
-                if p.grad is None:
-                    p.grad = g
-                elif g is not None:
-                    p.grad += g  # backward gave this process's .grad its own array
-            breakdowns.extend(chunk_breakdowns)
-        return breakdowns
+    def __exit__(self, *exc):
+        self.close()
+
+    def map(self, jobs):
+        own = len(jobs)
+        if self.fork and own > 1 and _worker_allowed():
+            own = (own + 1) // 2
+            self._submit(jobs[own:])
+        try:
+            for job in jobs[:own]:
+                yield self.fn(job)
+            for _ in jobs[own:]:
+                yield self._receive()
+        except BaseException:  # GeneratorExit too: the child's results would be left unread
+            self.close()
+            raise
+
+    def _submit(self, jobs):
+        """Hand the child jobs: it is forked with them the first time."""
+        if self._proc is None:
+            self._fork(jobs)
+            return
+        try:
+            self._conn.send(jobs)
+        except OSError:  # a broken pipe: the child is gone
+            raise self._died() from None
+
+    def _fork(self, jobs):
+        import multiprocessing  # here: importing it costs every CLI call ~10 ms
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(target=self._child_loop, name=self.name, daemon=True,
+                                 args=(child_end, jobs))
+        # SIGINT stays blocked in the child until it ignores it: Ctrl-C is
+        # the parent's to handle
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self._proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        child_end.close()
+
+    def _child_loop(self, conn, jobs):
+        """The child's loop: answer a list of jobs, then wait for the next. It
+        ends when the parent closes its end."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        self._conn.close()  # so the parent closing its end is EOF here
+        try:
+            while True:
+                self._answer(conn, jobs)
+                jobs = conn.recv()
+        except (EOFError, OSError):
+            pass  # the parent closed its end
+
+    def _answer(self, conn, jobs):
+        """fn of each job in turn, then one message per job, in order. An
+        exception stops the jobs and is sent in place of the job that raised
+        it. Nothing is sent before the last job is done: a message larger than
+        the pipe holds, sent while the parent still computes, would stall this
+        process. The results are freed as this returns, so they are not held
+        while the child waits for the next list."""
+        results = []
+        try:
+            for job in jobs:
+                results.append(self.fn(job))
+        except Exception as exc:
+            results.append(exc)
+        for result in results:
+            conn.send(result)
+
+    def _receive(self):
+        """The child's next result; re-raises an exception it sent in its
+        place, and raises a ChildProcessError if it has exited."""
+        try:
+            result = self._conn.recv()
+        except (EOFError, OSError):  # OSError: it exited mid-message
+            raise self._died() from None
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def _died(self):
+        self._proc.join()  # it closes its end only as it exits
+        return ChildProcessError(f"the {self.name} process exited with code "
+                                 f"{self._proc.exitcode}")
 
     def close(self):
+        # terminated first: a child blocked sending a result that the pipe
+        # cannot hold would never exit by itself, and closing the pipe under
+        # it would end it with a BrokenPipeError traceback
         if self._proc is not None:
-            _stop(self._proc, self._conn)
+            self._proc.terminate()
+            self._conn.close()
+            self._proc.join()
             self._proc = None
 
 
-def _receive(conn, proc):
-    """The next result the child sent; re-raises an exception it sent in its
-    place, and raises a ChildProcessError if the child has exited."""
-    try:
-        result = conn.recv()
-    except (EOFError, OSError):  # OSError: it exited mid-message
-        raise _died(proc) from None
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def _stop(proc, conn):
-    # terminated first: a child blocked sending a result that the pipe cannot
-    # hold would never exit by itself, and closing the pipe under it would end
-    # it with a BrokenPipeError traceback
-    proc.terminate()
-    conn.close()
-    proc.join()
-
-
 def fork_map(fn, jobs, fork):
-    """[fn(job) for job in jobs]. Given fork, two or more jobs and
-    _worker_allowed, a forked child (the evaluation worker) computes the later
-    half of the jobs while this process computes the earlier half, and its
-    results are put after this process's, in job order. The child inherits fn
-    and the jobs at the fork, so only results travel. An exception fn raises
-    in the child is re-raised here once this process's half is done, so the
-    first job in order that raises is the one whose exception is raised, as
-    in the loop; a ChildProcessError if the child died. The child is stopped
-    and joined before fork_map returns or raises."""
-    if not (fork and len(jobs) > 1 and _worker_allowed()):
-        return [fn(job) for job in jobs]
-    own = (len(jobs) + 1) // 2
-    proc, conn = _forked("evaluation worker", _run_jobs, fn, jobs[own:])
-    try:
-        results = [fn(job) for job in jobs[:own]]
-        results.extend(_receive(conn, proc) for _ in jobs[own:])
-        return results
-    finally:
-        _stop(proc, conn)
+    """[fn(job) for job in jobs], the later half computed by a forked child
+    (the evaluation worker) where _Worker would fork one; the child is
+    stopped and joined before fork_map returns or raises."""
+    with _Worker("evaluation worker", fn, fork) as worker:
+        return list(worker.map(jobs))
 
 
 def _libc_mallopt():
@@ -509,9 +502,11 @@ def train(tasks, cfg, run_dir=None):
     Sets a process-wide allocator policy first (keep_freed_heap): freed heap
     stays in the process for the rest of its life.
 
-    Where _worker_allowed, the first minibatch that spans two or more chunks
-    starts one worker process (_ChunkWorker), which is stopped and joined
-    before train returns or raises; the result is the same either way.
+    Its minibatches run through one _Worker (the training worker): where
+    _worker_allowed, the first minibatch that spans two or more chunks forks
+    its child, which computes the later half of each such minibatch's chunks
+    and is stopped and joined before train returns or raises; the result is
+    the same either way.
     """
     if not tasks:
         raise ValueError("need at least one task")
@@ -521,30 +516,27 @@ def train(tasks, cfg, run_dir=None):
     opt = Adam(model.parameters(), lr=cfg.lr)
     history = []
     ckpt = os.path.join(run_dir, CHECKPOINT_FILE) if run_dir else None
-    worker = _ChunkWorker(model, cfg) if _worker_allowed() else None
     try:
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(tasks))
-            breakdowns = []
-            for lo in range(0, len(tasks), cfg.batch_tasks):
-                opt.zero_grad()
-                breakdowns.extend(backward_batch(
-                    model, [tasks[i] for i in order[lo:lo + cfg.batch_tasks]], cfg, rng,
-                    worker))
-                opt.step()
-            history.append(LossBreakdown(
-                recon=float(np.mean([b.recon for b in breakdowns])),
-                kl=[float(np.mean([b.kl[d] for b in breakdowns]))
-                    for d in range(cfg.D)],
-                total=float(np.mean([b.total for b in breakdowns])),
-            ))
-            if ckpt and cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0:
+        with _Worker("training worker", chunk_gradient(model, cfg)) as worker:
+            for epoch in range(cfg.epochs):
+                order = rng.permutation(len(tasks))
+                breakdowns = []
+                for lo in range(0, len(tasks), cfg.batch_tasks):
+                    breakdowns.extend(backward_batch(
+                        model, [tasks[i] for i in order[lo:lo + cfg.batch_tasks]], cfg, rng,
+                        worker))
+                    opt.step()
+                history.append(LossBreakdown(
+                    recon=float(np.mean([b.recon for b in breakdowns])),
+                    kl=[float(np.mean([b.kl[d] for b in breakdowns]))
+                        for d in range(cfg.D)],
+                    total=float(np.mean([b.total for b in breakdowns])),
+                ))
+                if ckpt and cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0:
+                    checkpoint_save(model, cfg, ckpt)
+            if ckpt:
                 checkpoint_save(model, cfg, ckpt)
-        if ckpt:
-            checkpoint_save(model, cfg, ckpt)
     finally:
-        if worker is not None:
-            worker.close()
         if run_dir:
             write_metrics_csv(history, cfg.D, os.path.join(run_dir, METRICS_FILE))
     return model, history

@@ -21,7 +21,7 @@ from neurphy.physics import (OrbitGridConfig, OrbitInit, OrbitState,
                              PendulumGridConfig, PendulumParams, PendulumState,
                              generate_task_grid, load_tasks_jsonl,
                              orbit_params_from_init, orbit_step, pendulum_step,
-                             pendulum_trajectory, save_tasks_jsonl, split_meta)
+                             pendulum_trajectory, save_tasks_jsonl, split_indices)
 from neurphy.training import (TrainConfig, checkpoint_load, checkpoint_save,
                               split_frames, train)
 
@@ -29,6 +29,11 @@ DESK = dict(batch_tasks=2, epochs=300, seed=0)
 
 
 # ---------------------------------------------------------------- fixtures
+
+def split_meta(tasks, ratio, seed):
+    """The tasks on each side of split_indices: (meta_train, meta_test)."""
+    return tuple([tasks[i] for i in side] for side in split_indices(len(tasks), ratio, seed))
+
 
 @pytest.fixture(scope="session")
 def pendulum_split():

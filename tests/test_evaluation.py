@@ -196,15 +196,14 @@ def forks(monkeypatch):
     forked; each is sent a SIGINT as it starts, which it ignores."""
     monkeypatch.setattr(training, "CHUNK_ROWS", 1)
     monkeypatch.setattr(evaluation, "DECODE_TASKS", 1)
-    names, forked = [], training._forked
+    names, fork = [], training._Worker._fork
 
-    def spy(name, *rest):
-        proc, conn = forked(name, *rest)
-        names.append(name)
-        os.kill(proc.pid, signal.SIGINT)
-        return proc, conn
+    def spy(self, jobs):
+        fork(self, jobs)
+        names.append(self.name)
+        os.kill(self._proc.pid, signal.SIGINT)
 
-    monkeypatch.setattr(training, "_forked", spy)
+    monkeypatch.setattr(training._Worker, "_fork", spy)
     return names
 
 

@@ -18,7 +18,7 @@ from neurphy.physics import (ContextSet, CorruptDatasetError, InfeasibleContextE
                              load_tasks_jsonl, orbit_params_from_init, orbit_step,
                              orbit_trajectory, pendulum_endpoint, pendulum_step,
                              pendulum_trajectory, save_tasks_jsonl,
-                             select_contexts, split_meta, task_to_json)
+                             select_contexts, split_indices, task_to_json)
 
 
 def test_pendulum_step_fixed_point():
@@ -176,20 +176,18 @@ def test_grid_determinism():
         assert np.array_equal(ta.observations, tb.observations)
 
 
-def test_split_meta():
-    tasks, _ = generate_task_grid(PendulumGridConfig(l_count=5, m_count=2, T=2))
-    train, test = split_meta(tasks, 0.9, seed=3)
+def test_split_indices():
+    train, test = split_indices(10, 0.9, seed=3)
     assert len(train) == 9 and len(test) == 1
-    train2, test2 = split_meta(tasks, 0.9, seed=3)
-    assert [t.task_id for t in train] == [t.task_id for t in train2]
-    ids = sorted(t.task_id for t in train + test)
-    assert ids == list(range(10))
+    train2, test2 = split_indices(10, 0.9, seed=3)
+    assert list(train) == list(train2) and list(test) == list(test2)
+    assert sorted([*train, *test]) == list(range(10))
 
 
-def test_split_meta_two_tasks():
-    tasks, _ = generate_task_grid(PendulumGridConfig(l_count=2, m_count=1, T=2))
-    train, test = split_meta(tasks, 0.5, seed=0)
+def test_split_indices_two_tasks():
+    train, test = split_indices(2, 0.5, seed=0)
     assert len(train) == 1 and len(test) == 1
+    assert sorted([*train, *test]) == [0, 1]
 
 
 def test_frame_pairs_rows():

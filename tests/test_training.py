@@ -279,16 +279,18 @@ def test_interrupted_train_keeps_completed_epochs(tmp_path, monkeypatch, k):
 @pytest.fixture
 def worker_submits(monkeypatch):
     """One task per chunk, and the number of chunks each submit handed the
-    worker; each submit also sends the worker a SIGINT, which it ignores."""
+    training worker; each submit also sends the worker a SIGINT, which it
+    ignores."""
     monkeypatch.setattr(training, "CHUNK_ROWS", 1)
-    submits, submit = [], training._ChunkWorker.submit
+    submits, submit = [], training._Worker._submit
 
-    def spy(self, jobs, weight):
-        submits.append(len(jobs))
-        submit(self, jobs, weight)
-        os.kill(self._proc.pid, signal.SIGINT)
+    def spy(self, jobs):
+        submit(self, jobs)
+        if self.name == "training worker":
+            submits.append(len(jobs))
+            os.kill(self._proc.pid, signal.SIGINT)
 
-    monkeypatch.setattr(training._ChunkWorker, "submit", spy)
+    monkeypatch.setattr(training._Worker, "_submit", spy)
     return submits
 
 
@@ -315,6 +317,9 @@ def test_worker_trains_the_serial_bytes(tmp_path, monkeypatch, worker_submits, D
     # 7 tasks at B=5: chunks 1-3 of 5 and 1 of 2 here, the rest in the worker;
     # at D=0 no gradient reaches the context encoder or the transition
     cfg = tiny_train_config(D=D, epochs=3, batch_tasks=5, checkpoint_every=2)
+    forks, fork = [], training._Worker._fork
+    monkeypatch.setattr(training._Worker, "_fork",
+                        lambda self, jobs: forks.append(self.name) or fork(self, jobs))
     runs = []
     for name in ("worker", "serial"):
         if name == "serial":
@@ -324,6 +329,7 @@ def test_worker_trains_the_serial_bytes(tmp_path, monkeypatch, worker_submits, D
         runs.append([history] + [(tmp_path / name / f).read_bytes()
                                  for f in (training.CHECKPOINT_FILE, training.METRICS_FILE)])
     assert worker_submits == [2, 1] * 3
+    assert forks == ["training worker"]  # one child for the 3 epochs
     assert runs[0] == runs[1]
 
 
@@ -371,18 +377,20 @@ def test_dead_worker_exits_3(tmp_path, monkeypatch, capfd, dies):
     # one task per chunk: epoch k's 8 tasks hand the worker 4 chunks in the
     # (k+1)th submit; the worker is killed in epoch 1's
     monkeypatch.setattr(training, "CHUNK_ROWS", 1)
-    submits, submit = [], training._ChunkWorker.submit
+    submits, submit = [], training._Worker._submit
 
-    def spy(self, jobs, weight):
+    def spy(self, jobs):
+        if self.name != "training worker":
+            return submit(self, jobs)
         submits.append(len(jobs))
         if len(submits) == 2 and dies == "before a submit":
             os.kill(self._proc.pid, signal.SIGKILL)
             self._proc.join()
-        submit(self, jobs, weight)
+        submit(self, jobs)
         if len(submits) == 2 and dies == "while computing":
             os.kill(self._proc.pid, signal.SIGKILL)
 
-    monkeypatch.setattr(training._ChunkWorker, "submit", spy)
+    monkeypatch.setattr(training._Worker, "_submit", spy)
     data, run = tmp_path / "pend.jsonl", tmp_path / "run"
     assert main(["generate", "--system", "pendulum", "--out", str(data),
                  "--l", "1:3:3", "--m", "1:4:3", "--T", "20"]) == 0
@@ -410,6 +418,50 @@ def test_worker_allowed_only_where_it_can_fork_safely(monkeypatch, host, allowed
 
     monkeypatch.setattr(os, "listdir", listdir)
     assert training._worker_allowed() == allowed
+
+
+@needs_worker
+def test_one_worker_serves_several_maps(monkeypatch, capfd):
+    forks, fork = [], training._Worker._fork
+    monkeypatch.setattr(training._Worker, "_fork",
+                        lambda self, jobs: forks.append(list(jobs)) or fork(self, jobs))
+    parent, here = os.getpid(), []
+
+    def fn(job):
+        if job < 0:
+            raise ValueError(f"job {job}")
+        if os.getpid() == parent:
+            here.append(job)
+        return job * job
+
+    with training._Worker("test worker", fn) as worker:
+        for jobs in ([1, 2, 3, 4, 5], [6, 7], [8, 9, 10, 11]):
+            assert list(worker.map(jobs)) == [job * job for job in jobs]
+        assert forks == [[4, 5]]  # the first map's later half; the rest went by pipe
+        assert here == [1, 2, 3, 6, 8, 9]
+        results = []
+        with pytest.raises(ValueError, match="^job -3$"):
+            for result in worker.map([12, 13, -3, -4]):  # the child's half raises
+                results.append(result)
+        assert results == [144, 169]
+    assert forks == [[4, 5]]
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("D", [0, 2])
+def test_backward_batch_sets_grad(D):
+    # at D=0 no gradient reaches the context encoder or the transition
+    cfg = tiny_train_config(D=D, batch_tasks=4)
+    model = NeurPhyModel(cfg.model, np.random.default_rng(0))
+    backward_batch(model, _tasks(), cfg, np.random.default_rng(1))
+    want = [p.grad for _, p in model.parameters()]
+    assert any(g is None for g in want) == (D == 0)
+    for _, p in model.parameters():
+        p.grad = np.full_like(p.value, 7.0)
+    backward_batch(model, _tasks(), cfg, np.random.default_rng(1))
+    for (_, p), g in zip(model.parameters(), want, strict=True):
+        assert (p.grad is None and g is None) or np.array_equal(p.grad, g)
 
 
 @needs_worker
