@@ -1,15 +1,9 @@
-"""Artifact writes: round-trip float text, atomic replace, and CSV tables.
+"""Artifact writes: atomic replace, and CSV tables.
 Every file the package writes goes through write_atomic, so a crash mid-write
 leaves the previous file or none, never a torn one."""
 
 import os
-
-import numpy as np
-
-
-def fmt(x):
-    """17 significant digits: round-trips float64 exactly."""
-    return format(float(x), ".17g")
+from itertools import chain
 
 
 def write_atomic(path, data):
@@ -32,13 +26,8 @@ def write_atomic(path, data):
 
 
 def write_csv(path, header, rows):
-    """One comma-separated line per row of an iterable of cell lists;
-    integers (bools included) and strings are written as they are, every other
-    cell through fmt. The types are concrete: an ABC check per cell is slow."""
-    def lines():
-        yield ",".join(header) + "\n"
-        for row in rows:
-            yield ",".join(str(c) if isinstance(c, (str, int, np.integer))
-                           else fmt(c) for c in row) + "\n"
-
-    write_atomic(path, lines())
+    """One comma-separated line for the header, then one per row of an
+    iterable of cell lists, each row written as it comes. Every cell is
+    written with str, so a float (Python's or numpy's float64) is spelled
+    as json spells the task files: the shortest text that reads back to it."""
+    write_atomic(path, (",".join(map(str, row)) + "\n" for row in chain([header], rows)))

@@ -13,8 +13,8 @@ import sys
 import time
 
 # One BLAS thread unless the user set one. Set before the package first loads
-# numpy, it keeps the process single-threaded, so train may fork its chunk
-# worker, which speeds B=50 minibatches more than a second BLAS thread does.
+# numpy, it keeps the process single-threaded, so train and eval may fork their
+# worker process, which speeds B=50 minibatches more than a second BLAS thread does.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -269,13 +269,15 @@ def export_manifold(model, s, global_path, state_path):
         obs, frames = _stack(chunk, [np.arange(1, task.length) for task in chunk])
         z = model.recognize(frame_pairs(obs, frames)).mean.value
         zs.extend(np.split(z, np.cumsum([task.length - 1 for task in chunk])[:-1]))
+    # rows of Python floats: str spells them faster than numpy's
     write_csv(global_path, [f"r_c_{i}" for i in range(model.cfg.dim_r)] + global_keys,
               ([*r_c, *(task.globals[k] for k in global_keys)]
-               for r_c, task in zip(s.r_c, s.tasks)))
+               for r_c, task in zip(s.r_c.tolist(), s.tasks)))
     write_csv(state_path, ["task_id"] + [f"z_{i}" for i in range(model.cfg.dim_z)]
               + [f"state_{i}" for i in range(s.tasks[0].states.shape[1])],
-              ([task.task_id, *z[t - 1], *task.states[t]]
-               for task, z in zip(s.tasks, zs) for t in range(1, task.length)))
+              ([task.task_id, *z_t, *state]
+               for task, z in zip(s.tasks, zs)
+               for z_t, state in zip(z.tolist(), task.states[1:].tolist())))
 
 
 def global_r2_table(s):

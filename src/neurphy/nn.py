@@ -187,7 +187,9 @@ class Adam:
         """One update of every parameter with a gradient. The moments are
         updated in place, in the operation order of
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
-        p = p - lr (m / c1) / (sqrt(v / c2) + eps),  ck = 1 - bk^t."""
+        p = p - lr (m / c1) / (sqrt(v / c2) + eps),  ck = 1 - bk^t.
+        Each .grad is set to None once applied, so it is not held through the
+        next minibatch's draws; read gradient norms before the step."""
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
@@ -210,4 +212,4 @@ class Adam:
             update = m / c1
             update *= self.lr
             update /= denom
-            p.value = p.value - update
+            p.value, p.grad = p.value - update, None

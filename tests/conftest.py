@@ -8,12 +8,11 @@ import threading
 
 import pytest
 
-# Set before numpy is first imported. One BLAS thread, as the benchmark runs,
-# keeps the process single-threaded, so training may fork its chunk worker.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from neurphy import training  # noqa: E402  (numpy loads after the pin)
+# neurphy.cli pins BLAS to one thread, unless the variables are set, before
+# the package loads numpy. One BLAS thread, as the benchmark runs, keeps the
+# process single-threaded, so training and evaluation may fork their worker.
+import neurphy.cli  # noqa: F401  (first: numpy loads after the pin)
+from neurphy import training
 
 needs_worker = pytest.mark.skipif(
     not training._worker_allowed(),

@@ -613,6 +613,57 @@ def grid_run(tmp_path_factory):
     return data, out
 
 
+def test_csv_floats_are_spelled_as_in_the_task_file(grid_run, tmp_path):
+    data, out = grid_run
+    # every number of every record as the JSONL spells it
+    records = {}
+    for line in data.read_text().splitlines():
+        record = json.loads(line, parse_float=str, parse_int=str)
+        records[record["task_id"]] = record
+    prefix = str(tmp_path / "mani")
+    assert run(["eval", "--run", str(out), "--stage", "metatest20",
+                "--manifold-out", prefix]) == 0
+    roll = tmp_path / "roll.csv"
+    assert run(["rollout", "--run", str(out), "--task", "0", "--start", "3",
+                "--horizon", "5", "--out", str(roll)]) == 0
+
+    states = [line.split(",") for line in
+              (tmp_path / "mani_states.csv").read_text().split("\n")[1:-1]]
+    ids = list(dict.fromkeys(row[0] for row in states))  # the stage's tasks, in row order
+    g_lines = (tmp_path / "mani_global.csv").read_text().split("\n")
+    assert g_lines[0].split(",")[-2:] == ["l", "m"] and len(g_lines) == len(ids) + 2
+    for task_id, line in zip(ids, g_lines[1:-1], strict=True):
+        assert line.split(",")[-2:] == [records[task_id]["globals"][k] for k in ("l", "m")]
+    for task_id in ids:
+        rows = [row[-2:] for row in states if row[0] == task_id]
+        assert rows == records[task_id]["states"][1:]
+    for line in roll.read_text().split("\n")[1:-1]:
+        t, true_x, true_y = line.split(",")[:3]
+        assert [true_x, true_y] == records["0"]["observations"][int(t)]
+
+
+def test_plot_reads_the_old_17_digit_spelling(grid_run, tmp_path):
+    data, out = grid_run
+    prefix = str(tmp_path / "mani")
+    assert run(["eval", "--run", str(out), "--stage", "training",
+                "--manifold-out", prefix]) == 0
+    roll = tmp_path / "roll.csv"
+    assert run(["rollout", "--run", str(out), "--task", "0", "--start", "3",
+                "--horizon", "5", "--out", str(roll)]) == 0
+    for new in (roll, out / "metrics.csv", tmp_path / "mani_global.csv"):
+        old = tmp_path / f"old_{new.name}"
+        header, *rows = new.read_text().splitlines()
+        old.write_text("\n".join([header] + [",".join(
+            c if c.lstrip("-").isdigit() else format(float(c), ".17g")
+            for c in row.split(",")) for row in rows]) + "\n")
+        assert old.read_bytes() != new.read_bytes()
+        svgs = []
+        for path in (new, old):
+            assert run(["plot", "--in", str(path), "--out", str(tmp_path / "p.svg")]) == 0
+            svgs.append((tmp_path / "p.svg").read_bytes())
+        assert svgs[0] == svgs[1]
+
+
 @pytest.mark.parametrize("stage", sorted(STAGES))
 def test_eval_reads_once_and_decodes_only_its_stage(grid_run, stage, monkeypatch):
     data, out = grid_run
@@ -724,4 +775,4 @@ def test_cli_pins_blas_unless_the_user_set_it(openblas):
                                     text=True, check=True, timeout=120).stdout.split()
     assert value == (openblas or "1")
     if openblas is None:
-        assert threads == "1"  # so train may fork its chunk worker
+        assert threads == "1"  # so train and eval may fork their worker

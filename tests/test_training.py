@@ -22,6 +22,7 @@ from neurphy import training
 from neurphy.autodiff import NonFiniteError
 from neurphy.cli import EXIT_IO, EXIT_NUMERIC, main
 from neurphy.model import ModelConfig, NeurPhyModel
+from neurphy.nn import Adam
 from neurphy.physics import (DegenerateSplitError, PendulumGridConfig, PendulumParams,
                              generate_task_grid, pendulum_trajectory, select_contexts)
 from neurphy.training import (CheckpointError, CorruptCheckpointError, FormatVersionMismatchError,
@@ -464,6 +465,16 @@ def test_backward_batch_sets_grad(D):
         assert (p.grad is None and g is None) or np.array_equal(p.grad, g)
 
 
+def test_adam_step_releases_the_gradients_it_applied():
+    cfg = tiny_train_config(D=2, batch_tasks=4)
+    model = NeurPhyModel(cfg.model, np.random.default_rng(0))
+    opt = Adam(model.parameters(), lr=cfg.lr)
+    backward_batch(model, _tasks(), cfg, np.random.default_rng(1))
+    assert all(p.grad is not None for _, p in model.parameters())
+    opt.step()
+    assert all(p.grad is None for _, p in model.parameters())
+
+
 @needs_worker
 @pytest.mark.parametrize("end", ["returns", "raises", "interrupted"])
 def test_worker_is_stopped_however_train_ends(monkeypatch, worker_submits, capfd, end):
@@ -502,7 +513,7 @@ def test_metrics_csv_schema(tmp_path):
     write_metrics_csv(history, 2, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "epoch,recon,kl1,kl2,total"
-    assert len(lines) == 3 and lines[1].startswith("0,1,")
+    assert len(lines) == 3 and lines[1].startswith("0,1.0,")
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
