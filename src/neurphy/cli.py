@@ -71,12 +71,16 @@ def _parse_axis(text, name):
         raise UsageError(f"bad axis spec for {name}: {text!r} (want lo:hi:count)") from exc
 
 
-def _seed_override(seed):
+def _seed_override(seed, setting):
+    """NEURPHY_SEED if set, else the setting's seed; a negative one is a UsageError."""
     env = os.environ.get("NEURPHY_SEED")
     try:
-        return int(env) if env else seed
+        seed, setting = (int(env), "NEURPHY_SEED") if env else (seed, setting)
     except ValueError as exc:
         raise UsageError(f"NEURPHY_SEED must be an integer: {exc}") from exc
+    if seed < 0:
+        raise UsageError(f"{setting} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _read_config(path):
@@ -122,7 +126,7 @@ def cmd_generate(args):
     for axis in [k for k in kw if f"{k}_range" in names]:
         kw[f"{axis}_range"], kw[f"{axis}_count"] = _parse_axis(kw.pop(axis), axis)
     cfg = cls(**kw)
-    cfg.seed = _seed_override(cfg.seed)
+    cfg.seed = _seed_override(cfg.seed, "seed")
     tasks, skipped = generate_task_grid(cfg)
     save_tasks_jsonl(tasks, args.out)
     print(f"wrote {len(tasks)} tasks to {args.out}"
@@ -136,7 +140,7 @@ def cmd_train(args):
     cp = _read_config(args.config)
     cfg = TrainConfig(model=ModelConfig(**_settings(args, cp, "model", MODEL_FIELDS)),
                       **_settings(args, cp, "train", TRAIN_FIELDS))
-    cfg.seed = _seed_override(cfg.seed)
+    cfg.seed = _seed_override(cfg.seed, "seed")
     if cfg.epochs < 1:
         raise UsageError(f"epochs must be at least 1, got {cfg.epochs}")
     # every record decoded and the digest taken of the same bytes, which are
@@ -217,10 +221,11 @@ def _aligned(rows):
 
 
 def cmd_eval(args):
+    seed = _seed_override(args.eval_seed, "--eval-seed")
     model, cfg, dataset = _load_run(args.run)
     tasks = stage_tasks(dataset, args.stage, cfg.seed)
     del dataset  # the file's bytes are not held through the readouts
-    s = EvalStage.draw(model, tasks, args.stage, cfg, _seed_override(args.eval_seed))
+    s = EvalStage.draw(model, tasks, args.stage, cfg, seed)
     mse = rollout_mse(model, s)
     kls = kl_report(model, s)
     r2s = global_r2_table(s)
@@ -246,12 +251,12 @@ def cmd_eval(args):
 
 
 def cmd_rollout(args):
+    seed = _seed_override(args.eval_seed, "--eval-seed")
     model, cfg, dataset = _load_run(args.run)
     # the first record with the id; generated datasets have unique ids
     task = next((t for t in dataset if t.task_id == args.task), None)
     if task is None:
         raise UsageError(f"task {args.task} not in dataset")
-    seed = _seed_override(args.eval_seed)
     # the run's n_c contexts from the sequence prefix, as the meta-test stages draw them
     ctx = context_for_stage(task, "metatest20", cfg.n_c, seed)
     try:

@@ -4,8 +4,8 @@ per-overshoot rollout MSE tables, KL reports, and manifold CSV exports.
 Every readout reads one EvalStage, is forward-only (autodiff.no_grad) and runs
 over the stage's tasks in chunks, capped by training.CHUNK_ROWS as training's
 are: each network is called once per chunk (the transition once per step).
-A stage of FORK_TASKS or more tasks runs its chunks through training.fork_map,
-half of them in a forked child; the results, and so every output, are the same.
+The draw and the MSE and KL readouts of a stage of FORK_TASKS or more tasks run
+half their chunks in a child (training.fork_map); every output is the same.
 """
 
 import copy
@@ -17,24 +17,20 @@ from . import autodiff as ad
 from .artifacts import write_csv
 from .autodiff import Tensor
 from .model import ContextBatch
-from .physics import TaskFile, frame_pairs, select_contexts, split_indices
+from .physics import frame_pairs, select_contexts, split_indices
 from .training import (TrainConfig, _chunks, _stack, draw_noise, eligible_frames, fork_map,
                        overshoot, split_frames, task_means)
 
-# Stage size, in tasks, from which the record decode, the draw and the MSE and
-# KL readouts split their chunks with a forked child. A fork costs 15-25 ms,
-# most of it the 1,000-1,500 copy-on-write faults the parent takes as it goes
-# on writing to heap pages it shares with the child; the serial work a fork
-# halves is about 1.6 ms per task at D=1 (0.93 s for the 585-task training
-# stage of the 651-task grid). Forking every map of two or more chunks made
-# the 22-task desk stages slower (four stages' eval at D=5: 0.26 -> 0.37 s),
-# so every stage of the 25-task desk grid, and the 66 meta-test tasks of the
-# 651-task grid, stay serial.
+# Stage size, in tasks, from which the draw and the MSE and KL readouts split
+# their chunks with a forked child. A fork costs 15-25 ms, most of it the
+# 1,000-1,500 copy-on-write faults the parent takes as it goes on writing to
+# heap pages it shares with the child; the serial work a fork halves is about
+# 1.6 ms per task at D=1 (0.93 s for the 585-task training stage of the
+# 651-task grid). Forking every map of two or more chunks made the 22-task
+# desk stages slower (four stages' eval at D=5: 0.26 -> 0.37 s), so every
+# stage of the 25-task desk grid, and the 66 meta-test tasks of the 651-task
+# grid, stay serial.
 FORK_TASKS = 128
-# Records per decode job. A job's tasks travel back as one message, about
-# 110 KB pickled at 101 frames a task, so the parent's receive buffer stays
-# small.
-DECODE_TASKS = 32
 
 
 class DegenerateTargetError(Exception):
@@ -118,13 +114,9 @@ def fit_poly_r2(features, target, degree, name=""):
 def stage_tasks(tasks, stage, seed):
     """The side of the seeded meta split (physics.split_indices) that a stage
     scores. Only that side is indexed, so of a physics.TaskFile only the
-    stage's records are decoded, DECODE_TASKS to a fork_map job."""
+    stage's records are decoded, in the calling process."""
     side = split_indices(len(tasks), META_TRAIN_RATIO, seed)[STAGES[stage].meta_test]
-    jobs = [side[lo:lo + DECODE_TASKS] for lo in range(0, len(side), DECODE_TASKS)]
-    # a list's items cost nothing to take; a TaskFile decodes each as it is taken
-    fork = isinstance(tasks, TaskFile) and len(side) >= FORK_TASKS
-    return [task for chunk in fork_map(lambda idx: [tasks[i] for i in idx], jobs, fork)
-            for task in chunk]
+    return [tasks[i] for i in side]
 
 
 def stage_n_c(stage, run_n_c):

@@ -340,6 +340,8 @@ def task_from_json(line):
     if not (task.states.ndim == task.observations.ndim == 2
             and task.length == task.observations.shape[0] >= 2):
         raise ValueError("states and observations must be 2-D with the same rows, at least 2")
+    if not (np.isfinite(task.states).all() and np.isfinite(task.observations).all()):
+        raise ValueError("states and observations must be finite numbers")
     return task
 
 

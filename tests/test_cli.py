@@ -160,6 +160,30 @@ def test_bad_seed_override_names_the_variable(dataset, tmp_path, capsys, monkeyp
     assert "NEURPHY_SEED must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,setting", [
+    (["train", "--seed", "-1"], "seed"),
+    (["train"], "NEURPHY_SEED"),
+    (["eval", "--stage", "training", "--eval-seed", "-1"], "--eval-seed"),
+    # rollout seeds with eval_seed + task_id, which is 1 at task 3
+    (["rollout", "--task", "0", "--eval-seed", "-2"], "--eval-seed"),
+    (["rollout", "--task", "3", "--eval-seed", "-2"], "--eval-seed"),
+], ids=["train --seed", "train NEURPHY_SEED", "eval", "rollout task 0", "rollout task 3"])
+def test_negative_seed_is_usage_error(dataset, rundir, tmp_path, capsys, monkeypatch, argv,
+                                      setting):
+    out = str(tmp_path / "out")
+    argv = argv + {"train": ["--data", str(dataset), "--out", out, "--D", "1", "--epochs", "1",
+                             "--n-c", "4"],
+                   "eval": ["--run", str(rundir), "--manifold-out", out],
+                   "rollout": ["--run", str(rundir), "--start", "3", "--horizon", "5",
+                               "--out", out]}[argv[0]]
+    if setting == "NEURPHY_SEED":
+        monkeypatch.setenv("NEURPHY_SEED", "-1")
+    run_files = sorted(os.listdir(rundir))
+    assert run(argv) == EXIT_USAGE
+    assert f"{setting} must be a non-negative integer" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == [] and sorted(os.listdir(rundir)) == run_files
+
+
 @pytest.mark.parametrize("system,flag,value,setting", [
     ("pendulum", "--dt", "nan", "dt"),
     ("pendulum", "--dt", "inf", "dt"),
@@ -749,6 +773,24 @@ def test_train_mistyped_record_is_usage_error(dataset, tmp_path, capsys, field, 
     lines = dataset.read_bytes().split(b"\n")
     record = json.loads(lines[1])
     record[field] = value
+    lines[1] = json.dumps(record).encode()
+    data = tmp_path / "pend.jsonl"
+    data.write_bytes(b"\n".join(lines))
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "1",
+                "--epochs", "1", "--n-c", "4"]) == EXIT_USAGE
+    assert f"{data}, line 2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("observations", float("nan")),
+    ("states", float("inf")),
+], ids=["observation nan", "state inf"])
+def test_train_non_finite_record_is_usage_error(dataset, tmp_path, capsys, field, value):
+    lines = dataset.read_bytes().split(b"\n")
+    record = json.loads(lines[1])
+    record[field][1][0] = value
     lines[1] = json.dumps(record).encode()
     data = tmp_path / "pend.jsonl"
     data.write_bytes(b"\n".join(lines))

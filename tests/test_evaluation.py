@@ -192,10 +192,9 @@ def eval_every_stage(run):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """One task per chunk and per decode job, and the name of each process
-    forked; each is sent a SIGINT as it starts, which it ignores."""
+    """One task per chunk, and the name of each process forked; each is sent
+    a SIGINT as it starts, which it ignores."""
     monkeypatch.setattr(training, "CHUNK_ROWS", 1)
-    monkeypatch.setattr(evaluation, "DECODE_TASKS", 1)
     names, fork = [], training._Worker._fork
 
     def spy(self, jobs):
@@ -215,8 +214,8 @@ def test_eval_fork_writes_the_serial_bytes(grid_tree, monkeypatch, forks):
     assert forks == []  # no stage of the 25-task grid reaches FORK_TASKS
     monkeypatch.setattr(evaluation, "FORK_TASKS", 1)
     forked = eval_every_stage(run)
-    # in each stage: the decode, the draw, and the MSE and KL readouts
-    assert forks == ["evaluation worker"] * 16
+    # in each stage: the draw, and the MSE and KL readouts
+    assert forks == ["evaluation worker"] * 12
     monkeypatch.setattr(training, "_worker_allowed", lambda: False)
     assert eval_every_stage(run) == forked == default
     assert len(forked) == 14  # mse, kl and r2 of each stage, and the manifold's two
@@ -248,18 +247,18 @@ def test_eval_child_error_exits_as_the_serial_run(grid_tree, monkeypatch, forks,
         assert (int(raised.read_text()) == parent) == (name == "serial")
     assert results[0] == results[1]
     assert results[0].err == "numerical error: non-finite output of network decoder\n"
-    assert forks == ["evaluation worker"] * 3  # the decode, the draw and the MSE readout
+    assert forks == ["evaluation worker"] * 2  # the draw and the MSE readout
 
 
 @needs_worker
-def test_eval_child_names_the_record_that_does_not_decode(grid_tree, monkeypatch, forks,
-                                                          capfd, tmp_path):
+def test_eval_parent_names_the_record_that_does_not_decode(grid_tree, monkeypatch, forks,
+                                                           capfd, tmp_path):
     tree = tmp_path / "tree"
     shutil.copytree(grid_tree, tree)
     data, manifest_path = tree / "pend.jsonl", tree / "run" / "manifest.json"
     side = physics.split_indices(25, evaluation.META_TRAIN_RATIO, 0)[0]
-    # the stage's last record, which the child decodes; the manifest takes
-    # the corrupt file's digest, so the record is read
+    # the stage's last record, which the parent decodes last; the manifest
+    # takes the corrupt file's digest, so the record is read
     lines = data.read_bytes().split(b"\n")
     lines[side[-1]] = lines[side[-1]][:100]
     data.write_bytes(b"\n".join(lines))
@@ -270,27 +269,20 @@ def test_eval_child_names_the_record_that_does_not_decode(grid_tree, monkeypatch
     decoded, task_from_json = [], physics.task_from_json
     monkeypatch.setattr(physics, "task_from_json",
                         lambda line: decoded.append(line) or task_from_json(line))
-    errors = []
-    for name in ("fork", "serial"):
-        if name == "serial":
-            monkeypatch.setattr(training, "_worker_allowed", lambda: False)
-        capfd.readouterr()
-        assert main(["eval", "--run", str(tree / "run"), "--stage", "training"]) == EXIT_USAGE
-        errors.append(capfd.readouterr().err)
-        if name == "fork":
-            assert len(decoded) == 11 and forks == ["evaluation worker"]
-    assert errors[0] == errors[1]
+    capfd.readouterr()
+    assert main(["eval", "--run", str(tree / "run"), "--stage", "training"]) == EXIT_USAGE
+    err = capfd.readouterr().err
+    assert len(decoded) == len(side) == 22 and forks == []
     path = os.path.join(tree / "run", "..", "pend.jsonl")  # as the manifest places it
-    assert errors[0].startswith(f"error: {path}, line {side[-1] + 1}: JSONDecodeError")
+    assert err.startswith(f"error: {path}, line {side[-1] + 1}: JSONDecodeError")
 
 
 @needs_worker
-@pytest.mark.parametrize("readout", ["decode", "draw", "rollout_mse", "kl_report"])
+@pytest.mark.parametrize("readout", ["draw", "rollout_mse", "kl_report"])
 def test_dead_eval_child_exits_3(grid_tree, monkeypatch, forks, capfd, readout):
-    module, name, n = {"decode": (physics, "task_from_json", 1),
-                       "draw": (evaluation, "context_for_stage", 2),
-                       "rollout_mse": (evaluation, "frame_pairs", 3),
-                       "kl_report": (evaluation, "overshoot", 4)}[readout]
+    module, name, n = {"draw": (evaluation, "context_for_stage", 1),
+                       "rollout_mse": (evaluation, "frame_pairs", 2),
+                       "kl_report": (evaluation, "overshoot", 3)}[readout]
     real, parent = getattr(module, name), os.getpid()
 
     def killed_in_the_child(*args):
