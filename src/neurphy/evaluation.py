@@ -8,7 +8,6 @@ The draw and the MSE and KL readouts of a stage of FORK_TASKS or more tasks run
 half their chunks in a child (training.fork_map); every output is the same.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +21,15 @@ from .training import (TrainConfig, _chunks, _stack, draw_noise, eligible_frames
                        overshoot, split_frames, task_means)
 
 # Stage size, in tasks, from which the draw and the MSE and KL readouts split
-# their chunks with a forked child. A fork costs 15-25 ms, most of it the
-# 1,000-1,500 copy-on-write faults the parent takes as it goes on writing to
-# heap pages it shares with the child; the serial work a fork halves is about
-# 1.6 ms per task at D=1 (0.93 s for the 585-task training stage of the
-# 651-task grid). Forking every map of two or more chunks made the 22-task
-# desk stages slower (four stages' eval at D=5: 0.26 -> 0.37 s), so every
-# stage of the 25-task desk grid, and the 66 meta-test tasks of the 651-task
-# grid, stay serial.
+# their chunks with a forked child. A fork costs 15-25 ms, mostly the parent's
+# copy-on-write faults on heap it shares with the child; it halves about 1.6
+# ms of serial work per task at D=1. Forking the 22-task desk stages made their
+# eval slower (D=5: 0.26 -> 0.37 s), so the 25-task desk grid and the 66
+# meta-test tasks of the 651-task grid stay serial. Timed alone in a fresh
+# process, the draw and KL forks show no gain, but in the benchmark chain (one
+# process for all four stages) the 651-task eval was slower in 5 of 6
+# alternating pairs with the KL readout serial (1.43 -> 1.50 s) and in 6 of 6
+# with the draw serial too (1.35 -> 1.50 s), on a 2 vCPU shared VM.
 FORK_TASKS = 128
 
 
@@ -222,31 +222,23 @@ def rollout_mse(model, s):
 @ad.no_grad()
 def kl_report(model, s):
     """Mean unweighted KL per overshoot distance: training's overshoot
-    schedule over chunks of tasks, with the noise elbo_loss would draw task
-    by task, averaged over each task's own rows and then over tasks.
-
-    Each chunk's job carries the generator as that draw leaves it at the
-    chunk's first task, so no more than one chunk's noise is held at a time.
-    """
-    rng = np.random.default_rng(s.seed)
-    jobs = []
-    for chunk in _scored_chunks(s):
-        jobs.append((chunk, copy.deepcopy(rng)))
-        for _, frames, _ in chunk:  # past the chunk's noise
-            draw_noise(rng, frames.size, s.cfg.D, model.cfg.dim_z)
-
-    def chunk_kls(job):
+    schedule over chunks of tasks, averaged over each task's rows, then over
+    tasks. Each task's noise is one draw_noise from its own generator, keyed
+    [seed, task_id] apart from the seed + task_id of its contexts and frames,
+    so a task's KL does not depend on the tasks drawn before it."""
+    def chunk_kls(chunk):
         """Each task's KL per distance, a row per task of the chunk."""
-        chunk, chunk_rng = job
         tasks, frames, r_c = zip(*chunk)
         sizes = [f.size for f in frames]
         obs, targets = _stack(tasks, frames)
-        noises = [draw_noise(chunk_rng, size, s.cfg.D, model.cfg.dim_z) for size in sizes]
+        noises = [draw_noise(np.random.default_rng([s.seed, task.task_id]), size, s.cfg.D,
+                             model.cfg.dim_z) for task, size in zip(tasks, sizes)]
         _, kl_rows = overshoot(model, obs, targets, Tensor(np.stack(r_c)), s.cfg, noises, sizes)
         means = [task_means(kl.value, sizes) for kl in kl_rows]
         return [[float(m[i]) for m in means] for i in range(len(sizes))]
 
-    kls = [row for rows in fork_map(chunk_kls, jobs, len(s.tasks) >= FORK_TASKS)
+    kls = [row for rows in fork_map(chunk_kls, list(_scored_chunks(s)),
+                                    len(s.tasks) >= FORK_TASKS)
            for row in rows]
     return list(np.mean(np.asarray(kls), axis=0))
 

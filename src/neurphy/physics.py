@@ -305,7 +305,8 @@ def select_contexts(task, n_c, mode, seed):
     else:
         raise ValueError(f"unknown context mode {mode!r}")
     if n_c < 1 or n_c > limit:
-        raise InfeasibleContextError(f"cannot draw {n_c} pairs from {limit} start indices")
+        raise InfeasibleContextError(f"task {task.task_id}: cannot draw {n_c} pairs from {limit} "
+                                     "start indices")
     starts = np.sort(np.random.default_rng(seed).choice(limit, size=n_c, replace=False))
     return ContextSet(pairs=frame_pairs(task.observations, starts + 1), indices=starts)
 

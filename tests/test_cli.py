@@ -362,6 +362,38 @@ def test_eval_stage_without_frames_is_usage_error(tmp_path, capsys):
     assert run(["eval", "--run", str(out), "--stage", "training"]) == 0
 
 
+def infeasible_context_run(tmp_path, T, n_c):
+    """A D=1 run on a 9-task grid of T frames, trained with n_c context pairs."""
+    data, out = tmp_path / "pend.jsonl", tmp_path / "run"
+    assert run(["generate", "--system", "pendulum", "--out", str(data),
+                "--l", "1:3:3", "--m", "1:4:3", "--T", str(T)]) == 0
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "1", "--epochs", "1",
+                "--n-c", str(n_c), "--dim-z", "2", "--dim-r", "2", "--seed", "0"]) == 0
+    return data, out
+
+
+def test_eval_infeasible_context_names_the_task(tmp_path, capsys):
+    # a 15-frame task has 14 start indices, fewer than metatest20's 20 pairs
+    data, out = infeasible_context_run(tmp_path, 15, 4)
+    first = stage_tasks(load_tasks_jsonl(data), "metatest20", 0)[0]
+    capsys.readouterr()
+    assert run(["eval", "--run", str(out), "--stage", "metatest20"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: task {first.task_id}: cannot draw 20 pairs "
+                                       "from 14 start indices\n")
+    assert not any(out.glob("*_metatest20.csv"))
+
+
+def test_rollout_infeasible_context_names_the_task(tmp_path, capsys):
+    # rollout draws the run's 25 pairs from the first 21 frames' 20 start indices
+    _, out = infeasible_context_run(tmp_path, 30, 25)
+    roll = tmp_path / "roll.csv"
+    capsys.readouterr()
+    assert run(["rollout", "--run", str(out), "--task", "7", "--start", "5",
+                "--horizon", "3", "--out", str(roll)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: task 7: cannot draw 25 pairs from 20 start indices\n"
+    assert not roll.exists()
+
+
 def test_plot_rollout_and_metrics_deterministic(rundir, tmp_path):
     roll = tmp_path / "roll.csv"
     assert run(["rollout", "--run", str(rundir), "--task", "0",

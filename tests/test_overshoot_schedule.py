@@ -84,15 +84,15 @@ def loop_rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
 
 
 def loop_kl_report(model, tasks, stage, cfg, seed=0):
-    """Reference: one elbo_loss per task, all drawing from one generator."""
-    rng = np.random.default_rng(seed)
+    """Reference: one elbo_loss per task, each drawing from its own generator."""
     kls = []
     for task in tasks:
         frames = stage_frames(task, stage, cfg.D, cfg.target_fraction, seed)
         if frames.size == 0:
             continue
         ctx = context_for_stage(task, stage, stage_n_c(stage, cfg.n_c), seed)
-        _, br = elbo_loss(model, task, ctx, frames, cfg, rng)
+        _, br = elbo_loss(model, task, ctx, frames, cfg,
+                          np.random.default_rng([seed, task.task_id]))
         kls.append(br.kl)
     return list(np.mean(np.asarray(kls), axis=0))
 
@@ -281,6 +281,19 @@ def test_kl_report_matches_loop(tasks, stage, D):
     want = loop_kl_report(model, tasks, stage, cfg, seed=4)
     assert len(got) == D
     assert close(got, want)
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_kl_report_is_the_mean_of_its_one_task_stages(tasks, stage):
+    model, n_c = stage_model(stage)
+    cfg = TrainConfig(D=3, n_c=n_c, target_fraction=0.8, model=model.cfg)
+    s = EvalStage.draw(model, tasks, stage, cfg, 4)
+    # a task's KL does not depend on the tasks drawn before it
+    one_task = [kl_report(model, EvalStage(s.name, s.cfg, s.seed, [task], [frames],
+                                           s.r_c[i:i + 1]))
+                for i, (task, frames) in enumerate(zip(s.tasks, s.frames)) if frames.size]
+    assert len(one_task) > 1
+    np.testing.assert_allclose(kl_report(model, s), np.mean(one_task, axis=0), rtol=1e-9)
 
 
 @pytest.mark.parametrize("stage", sorted(STAGES))
