@@ -4,8 +4,9 @@ per-overshoot rollout MSE tables, KL reports, and manifold CSV exports.
 Every readout reads one EvalStage, is forward-only (autodiff.no_grad) and runs
 over the stage's tasks in chunks, capped by training.CHUNK_ROWS as training's
 are: each network is called once per chunk (the transition once per step).
-The draw and the MSE and KL readouts of a stage of FORK_TASKS or more tasks run
-half their chunks in a child (training.fork_map); every output is the same.
+A stage's contexts and frames are drawn in the calling process; its context
+encoding and its MSE and KL readouts, at FORK_TASKS or more tasks, run half
+their chunks in a child (training.fork_map); every output is the same.
 """
 
 from dataclasses import dataclass
@@ -20,16 +21,16 @@ from .physics import frame_pairs, select_contexts, split_indices
 from .training import (TrainConfig, _chunks, _stack, draw_noise, eligible_frames, fork_map,
                        overshoot, split_frames, task_means)
 
-# Stage size, in tasks, from which the draw and the MSE and KL readouts split
-# their chunks with a forked child. A fork costs 15-25 ms, mostly the parent's
-# copy-on-write faults on heap it shares with the child; it halves about 1.6
-# ms of serial work per task at D=1. Forking the 22-task desk stages made their
-# eval slower (D=5: 0.26 -> 0.37 s), so the 25-task desk grid and the 66
-# meta-test tasks of the 651-task grid stay serial. Timed alone in a fresh
-# process, the draw and KL forks show no gain, but in the benchmark chain (one
-# process for all four stages) the 651-task eval was slower in 5 of 6
-# alternating pairs with the KL readout serial (1.43 -> 1.50 s) and in 6 of 6
-# with the draw serial too (1.35 -> 1.50 s), on a 2 vCPU shared VM.
+# Stage size, in tasks, from which the context encoding and the MSE and KL
+# readouts split their chunks with a forked child. A fork costs 15-25 ms, mostly
+# the parent's copy-on-write faults on heap it shares with the child; it halves
+# about 1.6 ms of serial work per task at D=1. Forking the 22-task desk stages
+# made their eval slower (D=5: 0.26 -> 0.37 s), so the 25-task desk grid and the
+# 66 meta-test tasks of the 651-task grid stay serial. Timed alone in a fresh
+# process, the KL fork shows no gain, but in the benchmark chain (one process
+# for all four stages) the 651-task eval was slower in 5 of 6 pairs with the KL
+# readout serial (1.43 -> 1.50 s) and in 10 of 12 with the context encoding
+# serial (1.09 -> 1.17 s), on a 2 vCPU shared VM.
 FORK_TASKS = 128
 
 
@@ -130,11 +131,13 @@ def context_for_stage(task, stage, n_c, seed):
 
 
 def stage_frames(task, stage, D, fraction, seed):
-    """Which frames are scored per stage: the seeded target/heldout split for
-    training/test, every eligible frame for meta-test."""
+    """Which frames a stage scores: every eligible frame for meta-test, drawing
+    no split, else the targets or held-out side of the seeded split_frames."""
+    side = STAGES[stage].frames
+    if side == "all":
+        return eligible_frames(task.length, D)
     targets, heldout = split_frames(task.length, D, fraction, seed + task.task_id)
-    return {"targets": targets, "heldout": heldout,
-            "all": eligible_frames(task.length, D)}[STAGES[stage].frames]
+    return targets if side == "targets" else heldout
 
 
 @dataclass(frozen=True)
@@ -153,16 +156,11 @@ class EvalStage:
     @ad.no_grad()
     def draw(cls, model, tasks, stage, cfg, seed):
         n_c = stage_n_c(stage, cfg.n_c)
-
-        def draw_chunk(chunk):
-            ctxs = [context_for_stage(task, stage, n_c, seed) for task in chunk]
-            return ([stage_frames(task, stage, cfg.D, cfg.target_fraction, seed)
-                     for task in chunk], model.encode_context(ContextBatch.of(ctxs)).value)
-
-        drawn = fork_map(draw_chunk, list(_chunks(tasks, lambda task: n_c)),
-                         len(tasks) >= FORK_TASKS)
-        return cls(stage, cfg, seed, tasks, [f for frames, _ in drawn for f in frames],
-                   np.concatenate([r_c for _, r_c in drawn]))
+        ctxs = [context_for_stage(task, stage, n_c, seed) for task in tasks]
+        frames = [stage_frames(task, stage, cfg.D, cfg.target_fraction, seed) for task in tasks]
+        r_c = fork_map(lambda chunk: model.encode_context(ContextBatch.of(chunk)).value,
+                       list(_chunks(ctxs, lambda ctx: n_c)), len(tasks) >= FORK_TASKS)
+        return cls(stage, cfg, seed, tasks, frames, np.concatenate(r_c))
 
 
 def _scored_chunks(s):

@@ -329,11 +329,11 @@ def _is_real(x):
 
 def task_from_json(line):
     d = json.loads(line)
-    if not (_is_int(d["task_id"]) and _is_int(d["seed"]) and isinstance(d["system"], str)
-            and _is_real(d["dt"]) and isinstance(d["globals"], dict)
-            and all(_is_real(v) for v in d["globals"].values())):
-        raise ValueError("task_id and seed must be integers, system a string, and dt and "
-                         "every globals value finite numbers")
+    if not (_is_int(d["task_id"]) and d["task_id"] >= 0 and _is_int(d["seed"])
+            and isinstance(d["system"], str) and _is_real(d["dt"])
+            and isinstance(d["globals"], dict) and all(_is_real(v) for v in d["globals"].values())):
+        raise ValueError("task_id must be a non-negative integer, seed an integer, system a "
+                         "string, and dt and every globals value finite numbers")
     task = Task(task_id=d["task_id"], system=d["system"], globals=d["globals"],
                 states=np.asarray(d["states"], dtype=np.float64),
                 observations=np.asarray(d["observations"], dtype=np.float64),

@@ -369,17 +369,36 @@ def test_two_layer_mlp_gradcheck():
         assert grad_check(f, x, eps=1e-5) < 1e-4
 
 
-def test_tracer_patches_every_name():
+def test_tracer_patches_every_name(tmp_path):
     # perfbench's --trace 1 looks up by name every function it patches, in
     # autodiff, nn, model, physics, training, evaluation and cli, so one
-    # renamed or deleted would crash traced runs. A fresh interpreter keeps the
-    # patches out of the other tests.
+    # renamed or deleted would crash traced runs; its counters read the
+    # arguments they see, so a tiny traced chain runs each of them. A fresh
+    # interpreter keeps the patches out of the other tests.
     root = Path(__file__).resolve().parents[1]
-    code = ("import tracer; from neurphy import autodiff as ad\n"
-            "t = tracer.Tracer(); tracer.install(t); ad.add(1.0, 2.0)\n"
-            "assert t.counts['autodiff.add.calls'] == 1, t.counts\n")
+    code = """
+from neurphy import cli  # first: numpy loads after its BLAS pin
+from neurphy import autodiff as ad
+import tracer
+t = tracer.Tracer(); tracer.install(t); ad.add(1.0, 2.0)
+assert t.counts['autodiff.add.calls'] == 1, t.counts
+ops = [["generate", "--system", "pendulum", "--out", "pend.jsonl", "--l", "1:3:3",
+        "--m", "1:4:3", "--T", "30"],
+       ["train", "--data", "pend.jsonl", "--out", "run", "--D", "2", "--epochs", "1",
+        "--n-c", "4", "--dim-z", "2", "--dim-r", "2"],
+       ["eval", "--run", "run", "--stage", "metatest2", "--manifold-out", "run/mani"],
+       ["rollout", "--run", "run", "--task", "0", "--start", "3", "--horizon", "5",
+        "--out", "roll.csv"],
+       ["plot", "--in", "roll.csv", "--out", "roll.svg"]]
+main = t.wrap("cli", cli.main)
+assert [main(argv) for argv in ops] == [0] * len(ops)
+for key in ("model.context.rows", "physics.select_contexts.calls", "autodiff.backward.calls",
+            "training.checkpoint_save.calls", "evaluation.export_manifold.calls",
+            "svg.calls"):
+    assert t.counts[key] > 0, (key, t.counts)
+"""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -362,6 +362,40 @@ def test_eval_stage_without_frames_is_usage_error(tmp_path, capsys):
     assert run(["eval", "--run", str(out), "--stage", "training"]) == 0
 
 
+@pytest.mark.parametrize("short", [1, 3], ids=["one", "all"])
+def test_eval_meta_test_task_too_short_for_D_scores_nothing(tmp_path, capsys, short):
+    # a 25-task grid whose first `short` meta-test records are swapped for
+    # their 5-frame versions, which have no frame t >= D+1 at D=5; train reads
+    # only the meta-train side
+    data, out = tmp_path / "pend.jsonl", tmp_path / "run"
+    grid = ["generate", "--system", "pendulum", "--l", "1:3:5", "--m", "1:4:5"]
+    assert run(grid + ["--out", str(data), "--T", "24"]) == 0
+    assert run(grid + ["--out", str(tmp_path / "short.jsonl"), "--T", "5"]) == 0
+    lines = data.read_bytes().split(b"\n")
+    swapped = physics.split_indices(25, evaluation.META_TRAIN_RATIO, 0)[1][:short]
+    for i in swapped:
+        lines[i] = (tmp_path / "short.jsonl").read_bytes().split(b"\n")[i]
+    data.write_bytes(b"\n".join(lines))
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "5", "--epochs", "1",
+                "--n-c", "4", "--dim-z", "2", "--dim-r", "2"]) == 0
+    capsys.readouterr()
+    argv = ["eval", "--run", str(out), "--stage", "metatest2"]
+    if short == 3:
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: stage 'metatest2' scores no frames in its 3 "
+                                           "tasks at D=5\n")
+        assert not any(out.glob("*_metatest2.csv"))
+        return
+    assert run(argv) == 0
+    # the stage's MSE is that of its other two tasks
+    model, cfg = checkpoint_load(out / "model.ckpt")
+    tasks = [t for t in stage_tasks(load_tasks_jsonl(data), "metatest2", 0) if t.length > 5]
+    want = evaluation.rollout_mse(model, evaluation.EvalStage.draw(model, tasks, "metatest2",
+                                                                   cfg, cli.EVAL_SEED))
+    row = (out / "mse_metatest2.csv").read_text().splitlines()[1].split(",")
+    assert len(tasks) == 2 and [float(v) for v in row[1:]] == pytest.approx(want.mse, rel=1e-9)
+
+
 def infeasible_context_run(tmp_path, T, n_c):
     """A D=1 run on a 9-task grid of T frames, trained with n_c context pairs."""
     data, out = tmp_path / "pend.jsonl", tmp_path / "run"
@@ -796,11 +830,12 @@ def test_train_corrupt_line_is_usage_error(dataset, tmp_path, capsys):
     ("dt", None),
     ("task_id", 1.0),
     ("task_id", True),
+    ("task_id", -1),
     ("seed", "0"),
     ("system", 1),
 ], ids=["globals list", "globals string value", "globals bool value", "globals nan",
-        "dt string", "dt inf", "dt null", "task_id float", "task_id bool", "seed string",
-        "system number"])
+        "dt string", "dt inf", "dt null", "task_id float", "task_id bool", "task_id negative",
+        "seed string", "system number"])
 def test_train_mistyped_record_is_usage_error(dataset, tmp_path, capsys, field, value):
     lines = dataset.read_bytes().split(b"\n")
     record = json.loads(lines[1])

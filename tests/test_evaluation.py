@@ -214,7 +214,7 @@ def test_eval_fork_writes_the_serial_bytes(grid_tree, monkeypatch, forks):
     assert forks == []  # no stage of the 25-task grid reaches FORK_TASKS
     monkeypatch.setattr(evaluation, "FORK_TASKS", 1)
     forked = eval_every_stage(run)
-    # in each stage: the draw, and the MSE and KL readouts
+    # in each stage: the context encoding, and the MSE and KL readouts
     assert forks == ["evaluation worker"] * 12
     monkeypatch.setattr(training, "_worker_allowed", lambda: False)
     assert eval_every_stage(run) == forked == default
@@ -247,7 +247,7 @@ def test_eval_child_error_exits_as_the_serial_run(grid_tree, monkeypatch, forks,
         assert (int(raised.read_text()) == parent) == (name == "serial")
     assert results[0] == results[1]
     assert results[0].err == "numerical error: non-finite output of network decoder\n"
-    assert forks == ["evaluation worker"] * 2  # the draw and the MSE readout
+    assert forks == ["evaluation worker"] * 2  # the context encoding and the MSE readout
 
 
 @needs_worker
@@ -280,7 +280,7 @@ def test_eval_parent_names_the_record_that_does_not_decode(grid_tree, monkeypatc
 @needs_worker
 @pytest.mark.parametrize("readout", ["draw", "rollout_mse", "kl_report"])
 def test_dead_eval_child_exits_3(grid_tree, monkeypatch, forks, capfd, readout):
-    module, name, n = {"draw": (evaluation, "context_for_stage", 1),
+    module, name, n = {"draw": (NeurPhyModel, "encode_context", 1),
                        "rollout_mse": (evaluation, "frame_pairs", 2),
                        "kl_report": (evaluation, "overshoot", 3)}[readout]
     real, parent = getattr(module, name), os.getpid()
@@ -297,6 +297,25 @@ def test_dead_eval_child_exits_3(grid_tree, monkeypatch, forks, capfd, readout):
     assert capfd.readouterr() == ("", "io error: the evaluation worker process exited with "
                                       "code -9\n")
     assert forks == ["evaluation worker"] * n
+
+
+@needs_worker
+def test_eval_draws_every_context_before_it_forks(grid_tree, monkeypatch, forks, capfd):
+    monkeypatch.setattr(evaluation, "FORK_TASKS", 1)
+    # the stage's last task, whose chunk the child would encode
+    victim = stage_tasks(load_tasks_jsonl(grid_tree / "pend.jsonl"), "training", 0)[-1]
+    context_for_stage = evaluation.context_for_stage
+
+    def infeasible(task, *args):
+        if task.task_id == victim.task_id:
+            raise physics.InfeasibleContextError(f"task {task.task_id}: cannot draw")
+        return context_for_stage(task, *args)
+
+    monkeypatch.setattr(evaluation, "context_for_stage", infeasible)
+    capfd.readouterr()
+    assert main(["eval", "--run", str(grid_tree / "run"), "--stage", "training"]) == EXIT_USAGE
+    assert capfd.readouterr() == ("", f"error: task {victim.task_id}: cannot draw\n")
+    assert forks == []
 
 
 @needs_worker
