@@ -21,16 +21,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from . import __version__
 from .artifacts import write_atomic, write_csv
 from .autodiff import NonFiniteError
-from .evaluation import (STAGES, EvalStage, context_for_stage, export_manifold,
-                         global_r2_table, kl_report, rollout_mse, stage_tasks)
-from .model import ModelConfig, OutOfRangeError
+from .evaluation import EvalStage, export_manifold, global_r2_table, kl_report, rollout_mse
+from .model import ModelConfig
 # load_tasks_jsonl is not called here; perfbench/tracer.py patches it by name
 from .physics import (OrbitGridConfig, PendulumGridConfig, PhysicsError, TaskFile,
                       generate_task_grid, load_tasks_jsonl, save_tasks_jsonl,
                       select_contexts)
 from .svg import line_chart, scatter_chart
-from .training import (CHECKPOINT_FILE, METRICS_FILE, PAPER_SCALE, CheckpointError,
-                       TrainConfig, checkpoint_load, split_frames, train)
+from .training import (CHECKPOINT_FILE, METRICS_FILE, PAPER_SCALE, STAGES, CheckpointError,
+                       TrainConfig, checkpoint_load, stage_tasks, train)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -143,6 +142,8 @@ def cmd_train(args):
     cfg.seed = _seed_override(cfg.seed, "seed")
     if cfg.epochs < 1:
         raise UsageError(f"epochs must be at least 1, got {cfg.epochs}")
+    if cfg.checkpoint_every < 0:
+        raise UsageError(f"checkpoint_every must be at least 0, got {cfg.checkpoint_every}")
     # every record decoded and the digest taken of the same bytes, which are
     # not held through training
     dataset = TaskFile(args.data)
@@ -161,8 +162,7 @@ def cmd_train(args):
                              f"observation columns, the model's obs_dim is {cfg.model.obs_dim}")
     # training's draws, tried on the shortest task before the run dir exists
     shortest = min(meta_train, key=lambda task: task.length)
-    select_contexts(shortest, cfg.n_c, "train_random", cfg.seed)
-    split_frames(shortest.length, cfg.D, cfg.target_fraction, cfg.seed)
+    STAGES["training"].draw(shortest, cfg, cfg.seed, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     print(f"training on {len(meta_train)} meta-train tasks, "
           f"B={cfg.batch_tasks}, {cfg.epochs} epochs "
@@ -258,11 +258,8 @@ def cmd_rollout(args):
     if task is None:
         raise UsageError(f"task {args.task} not in dataset")
     # the run's n_c contexts from the sequence prefix, as the meta-test stages draw them
-    ctx = context_for_stage(task, "metatest20", cfg.n_c, seed)
-    try:
-        pred = model.predict_observations(task, ctx, args.start, args.horizon)
-    except OutOfRangeError as exc:
-        raise UsageError(str(exc)) from exc
+    ctx = select_contexts(task, cfg.n_c, "metatest_prefix", seed + task.task_id)
+    pred = model.predict_observations(task, ctx, args.start, args.horizon)
     rows = [[args.start + i, *task.observations[args.start + i], *pred[i]]
             for i in range(args.horizon + 1)]
     write_csv(args.out, ["t", "true_x", "true_y", "pred_x", "pred_y"], rows)

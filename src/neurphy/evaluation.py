@@ -4,9 +4,10 @@ per-overshoot rollout MSE tables, KL reports, and manifold CSV exports.
 Every readout reads one EvalStage, is forward-only (autodiff.no_grad) and runs
 over the stage's tasks in chunks, capped by training.CHUNK_ROWS as training's
 are: each network is called once per chunk (the transition once per step).
-A stage's contexts and frames are drawn in the calling process; its context
-encoding and its MSE and KL readouts, at FORK_TASKS or more tasks, run half
-their chunks in a child (training.fork_map); every output is the same.
+A stage's tasks, contexts and frames are those of its row of training.STAGES,
+drawn in the calling process; its context encoding and its MSE and KL
+readouts, at FORK_TASKS or more tasks, run half their chunks in a child
+(training.fork_map); every output is the same.
 """
 
 from dataclasses import dataclass
@@ -17,9 +18,9 @@ from . import autodiff as ad
 from .artifacts import write_csv
 from .autodiff import Tensor
 from .model import ContextBatch
-from .physics import frame_pairs, select_contexts, split_indices
-from .training import (TrainConfig, _chunks, _stack, draw_noise, eligible_frames, fork_map,
-                       overshoot, split_frames, task_means)
+from .physics import frame_pairs
+from .training import (STAGES, TrainConfig, _chunks, _stack, draw_noise, fork_map, overshoot,
+                       task_means)
 
 # Stage size, in tasks, from which the context encoding and the MSE and KL
 # readouts split their chunks with a forked child. A fork costs 15-25 ms, mostly
@@ -44,24 +45,6 @@ class NoScoredFramesError(ValueError):
 
 class UnderdeterminedFitError(ValueError):
     """Fewer samples than the polynomial fit has coefficients, plus one."""
-
-
-@dataclass(frozen=True)
-class Stage:
-    meta_test: bool  # score the held-out side of split_indices, else the meta-train side
-    ctx_mode: str  # select_contexts mode
-    n_c: int | None  # context pairs; None means the run's own n_c
-    frames: str  # "targets" or "heldout" of split_frames, or "all" eligible frames
-
-
-# What each evaluation stage scores, for every metric and export of that stage.
-STAGES = {
-    "training": Stage(False, "train_random", None, "targets"),
-    "test": Stage(False, "train_random", None, "heldout"),
-    "metatest20": Stage(True, "metatest_prefix", 20, "all"),
-    "metatest2": Stage(True, "metatest_prefix", 2, "all"),
-}
-META_TRAIN_RATIO = 0.9
 
 
 @dataclass
@@ -112,41 +95,14 @@ def fit_poly_r2(features, target, degree, name=""):
     return R2Report(target=name, degree=degree, r2=1.0 - ss_res / ss_tot)
 
 
-def stage_tasks(tasks, stage, seed):
-    """The side of the seeded meta split (physics.split_indices) that a stage
-    scores. Only that side is indexed, so of a physics.TaskFile only the
-    stage's records are decoded, in the calling process."""
-    side = split_indices(len(tasks), META_TRAIN_RATIO, seed)[STAGES[stage].meta_test]
-    return [tasks[i] for i in side]
-
-
-def stage_n_c(stage, run_n_c):
-    """Context pairs a stage draws, given the n_c the run was trained with."""
-    n_c = STAGES[stage].n_c
-    return run_n_c if n_c is None else n_c
-
-
-def context_for_stage(task, stage, n_c, seed):
-    return select_contexts(task, n_c, STAGES[stage].ctx_mode, seed + task.task_id)
-
-
-def stage_frames(task, stage, D, fraction, seed):
-    """Which frames a stage scores: every eligible frame for meta-test, drawing
-    no split, else the targets or held-out side of the seeded split_frames."""
-    side = STAGES[stage].frames
-    if side == "all":
-        return eligible_frames(task.length, D)
-    targets, heldout = split_frames(task.length, D, fraction, seed + task.task_id)
-    return targets if side == "targets" else heldout
-
-
 @dataclass(frozen=True)
 class EvalStage:
     """What every readout of a stage reads, drawn once by draw: the stage's
-    tasks, each task's stage_frames, and r_c, one row per task."""
+    tasks, each task's frames, and r_c, one row per task. draw draws each
+    task through training.STAGES, both seeds keyed seed + task_id."""
 
     name: str
-    cfg: TrainConfig  # the run's D, n_c (through stage_n_c) and target_fraction
+    cfg: TrainConfig  # the run's D, n_c and target_fraction
     seed: int
     tasks: list
     frames: list
@@ -155,12 +111,11 @@ class EvalStage:
     @classmethod
     @ad.no_grad()
     def draw(cls, model, tasks, stage, cfg, seed):
-        n_c = stage_n_c(stage, cfg.n_c)
-        ctxs = [context_for_stage(task, stage, n_c, seed) for task in tasks]
-        frames = [stage_frames(task, stage, cfg.D, cfg.target_fraction, seed) for task in tasks]
+        ctxs, frames = zip(*(STAGES[stage].draw(task, cfg, seed + task.task_id,
+                                                seed + task.task_id) for task in tasks))
         r_c = fork_map(lambda chunk: model.encode_context(ContextBatch.of(chunk)).value,
-                       list(_chunks(ctxs, lambda ctx: n_c)), len(tasks) >= FORK_TASKS)
-        return cls(stage, cfg, seed, tasks, frames, np.concatenate(r_c))
+                       list(_chunks(ctxs, lambda ctx: ctx.n_c)), len(tasks) >= FORK_TASKS)
+        return cls(stage, cfg, seed, tasks, list(frames), np.concatenate(r_c))
 
 
 def _scored_chunks(s):

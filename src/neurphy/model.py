@@ -20,7 +20,7 @@ class EmptyContextError(Exception):
     pass
 
 
-class OutOfRangeError(Exception):
+class OutOfRangeError(ValueError):
     pass
 
 

@@ -1,4 +1,5 @@
-"""Overshooting ELBO assembly, the optimization loop, and checkpoint/metrics IO."""
+"""Overshooting ELBO assembly, the optimization loop, checkpoint/metrics IO, and
+the stage table (STAGES) of what training and each evaluation stage draw."""
 
 import ctypes
 import dataclasses
@@ -18,7 +19,7 @@ from .artifacts import write_atomic, write_csv
 from .autodiff import NonFiniteError, Tensor
 from .model import ContextBatch, ModelConfig, NeurPhyModel
 from .nn import Adam, DiagGaussian, gaussian_obs_nll, kl_diag_gauss, reparameterize
-from .physics import DegenerateSplitError, frame_pairs, select_contexts
+from .physics import DegenerateSplitError, frame_pairs, select_contexts, split_indices
 
 CHECKPOINT_MAGIC = b"NPHY"
 CHECKPOINT_VERSION = 1
@@ -116,6 +117,44 @@ def split_frames(T, D, fraction, seed):
     targets = np.sort(eligible[order[:n_target]])
     heldout = np.sort(eligible[order[n_target:]])
     return targets, heldout
+
+
+@dataclass(frozen=True)
+class Stage:
+    meta_test: bool  # score the held-out side of split_indices, else the meta-train side
+    ctx_mode: str  # select_contexts mode
+    n_c: int | None  # context pairs; None means the run's own n_c
+    frames: str  # "targets" or "heldout" of split_frames, or "all" eligible frames
+
+    def draw(self, task, cfg, ctx_seed, frame_seed):
+        """(context set, frames scored) of one task, for a run trained with
+        cfg: its contexts drawn with ctx_seed, then every eligible frame, or a
+        side of split_frames drawn with frame_seed."""
+        ctx = select_contexts(task, cfg.n_c if self.n_c is None else self.n_c, self.ctx_mode,
+                              ctx_seed)
+        if self.frames == "all":
+            return ctx, eligible_frames(task.length, cfg.D)
+        targets, heldout = split_frames(task.length, cfg.D, cfg.target_fraction, frame_seed)
+        return ctx, targets if self.frames == "targets" else heldout
+
+
+# What training draws for each minibatch task, and what each evaluation stage
+# scores, for every metric and export of that stage.
+STAGES = {
+    "training": Stage(False, "train_random", None, "targets"),
+    "test": Stage(False, "train_random", None, "heldout"),
+    "metatest20": Stage(True, "metatest_prefix", 20, "all"),
+    "metatest2": Stage(True, "metatest_prefix", 2, "all"),
+}
+META_TRAIN_RATIO = 0.9
+
+
+def stage_tasks(tasks, stage, seed):
+    """The side of the seeded meta split (physics.split_indices) that a stage
+    scores. Only that side is indexed, so of a physics.TaskFile only the
+    stage's records are decoded, in the calling process."""
+    side = split_indices(len(tasks), META_TRAIN_RATIO, seed)[STAGES[stage].meta_test]
+    return [tasks[i] for i in side]
 
 
 def _rows(g, start, stop):
@@ -279,9 +318,10 @@ def backward_batch(model, batch, cfg, rng, worker=None):
     parameter that no chunk's graph reaches.
 
     For each task in turn, rng draws the context seed, then the frame seed,
-    then the task's noise, as a per-task loop of elbo_loss would. A task's
-    rows are those of its largest network input, so chunk boundaries are
-    known before any draw, and every draw is made before any chunk runs.
+    with which STAGES["training"] draws the task's contexts and target frames,
+    then the task's noise, as a per-task loop of elbo_loss would. Only then are
+    the tasks cut into chunks, by the rows of each task's largest network
+    input, so every draw is made before any chunk runs.
 
     Each chunk is a job of chunk_gradient, run by worker's map (a _Worker,
     which may compute the later half in its child) or here. Each chunk's
@@ -289,24 +329,17 @@ def backward_batch(model, batch, cfg, rng, worker=None):
     place, wherever it ran, so .grad is the same either way. Returns each
     task's LossBreakdown.
     """
-    def rows(task):
-        return max(cfg.n_c, (cfg.D + 1) * target_count(task.length, cfg.D,
-                                                       cfg.target_fraction))
-
+    drawn = []
+    for task in batch:
+        ctx_seed = int(rng.integers(2 ** 31))
+        frame_seed = int(rng.integers(2 ** 31))
+        ctx, targets = STAGES["training"].draw(task, cfg, ctx_seed, frame_seed)
+        drawn.append((task, ctx, targets, draw_noise(rng, targets.size, cfg.D, model.cfg.dim_z)))
     params = [p for _, p in model.parameters()]
     # one list object in every job, so a pickle of the jobs holds the values once
     values, weight = [p.value for p in params], 1.0 / len(batch)
-    jobs = []
-    for chunk in _chunks(batch, rows):
-        ctxs, targets, noises = [], [], []
-        for task in chunk:
-            ctx_seed = int(rng.integers(2 ** 31))
-            frame_seed = int(rng.integers(2 ** 31))
-            ctxs.append(select_contexts(task, cfg.n_c, "train_random", ctx_seed))
-            targets.append(split_frames(task.length, cfg.D, cfg.target_fraction,
-                                        frame_seed)[0])
-            noises.append(draw_noise(rng, targets[-1].size, cfg.D, model.cfg.dim_z))
-        jobs.append((values, weight, chunk, ctxs, targets, noises))
+    jobs = [(values, weight, *zip(*chunk)) for chunk in _chunks(
+        drawn, lambda item: max(item[1].n_c, (cfg.D + 1) * item[2].size))]
     sums, breakdowns = [None] * len(params), []
     for grads, chunk_breakdowns in (worker.map(jobs) if worker is not None
                                     else map(chunk_gradient(model, cfg), jobs)):

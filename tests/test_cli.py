@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 import neurphy
-from neurphy import cli, evaluation, physics
+from neurphy import cli, evaluation, physics, training
 from neurphy.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
-from neurphy.evaluation import STAGES, stage_tasks
 from neurphy.physics import load_tasks_jsonl, task_from_json
-from neurphy.training import checkpoint_load, checkpoint_save
+from neurphy.training import STAGES, checkpoint_load, checkpoint_save, stage_tasks
 
 
 def run(argv):
@@ -313,11 +312,12 @@ def test_rollout_csv(rundir, tmp_path):
     assert lines[1].split(",")[0] == "3"
 
 
-def test_rollout_out_of_range(rundir, tmp_path):
+def test_rollout_out_of_range(rundir, tmp_path, capsys):
     rc = run(["rollout", "--run", str(rundir), "--task", "0",
               "--start", "3", "--horizon", "500",
               "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: window [3, 503] outside task of length 20\n"
 
 
 def test_rollout_decodes_only_until_its_task(grid_run, tmp_path, monkeypatch, capsys):
@@ -372,7 +372,7 @@ def test_eval_meta_test_task_too_short_for_D_scores_nothing(tmp_path, capsys, sh
     assert run(grid + ["--out", str(data), "--T", "24"]) == 0
     assert run(grid + ["--out", str(tmp_path / "short.jsonl"), "--T", "5"]) == 0
     lines = data.read_bytes().split(b"\n")
-    swapped = physics.split_indices(25, evaluation.META_TRAIN_RATIO, 0)[1][:short]
+    swapped = physics.split_indices(25, training.META_TRAIN_RATIO, 0)[1][:short]
     for i in swapped:
         lines[i] = (tmp_path / "short.jsonl").read_bytes().split(b"\n")[i]
     data.write_bytes(b"\n".join(lines))
@@ -516,7 +516,7 @@ def test_generate_grid_gm_from_config(tmp_path):
     ("--lr", "0"), ("--epochs", "0"), ("--target-fraction", "1.5"),
     ("--target-fraction", "0"), ("--target-fraction", "1"), ("--lr", "inf"),
     ("--beta", "nan"), ("--n-c", "0"), ("--n-c", "999"), ("--D", "-1"), ("--D", "200"),
-    ("--dim-z", "0")])
+    ("--dim-z", "0"), ("--checkpoint-every", "-1")])
 def test_train_rejects_bad_input(dataset, tmp_path, flag, value):
     out = tmp_path / "bad"
     rc = run(["train", "--data", str(dataset), "--out", str(out), "--D", "1",
@@ -623,8 +623,8 @@ def test_run_dir_relocatable(small_tree, tmp_path):
 
 def test_eval_draws_each_stage_task_once(rundir, dataset, tmp_path, monkeypatch):
     draws = []
-    select = evaluation.select_contexts
-    monkeypatch.setattr(evaluation, "select_contexts",
+    select = training.select_contexts
+    monkeypatch.setattr(training, "select_contexts",
                         lambda task, *rest: draws.append(task.task_id) or select(task, *rest))
     assert run(["eval", "--run", str(rundir), "--stage", "training",
                 "--manifold-out", str(tmp_path / "mani")]) == 0

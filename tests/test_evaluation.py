@@ -13,13 +13,13 @@ from conftest import needs_worker
 from neurphy import evaluation, physics, training
 from neurphy.autodiff import NonFiniteError
 from neurphy.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
-from neurphy.evaluation import (STAGES, DegenerateTargetError, EvalStage, MseTable, R2Report,
+from neurphy.evaluation import (DegenerateTargetError, EvalStage, MseTable, R2Report,
                                 UnderdeterminedFitError, export_manifold,
                                 fit_poly_r2, global_r2_table, kl_report,
-                                rollout_mse, stage_n_c, stage_tasks)
+                                rollout_mse)
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.physics import PendulumGridConfig, generate_task_grid, load_tasks_jsonl
-from neurphy.training import TrainConfig
+from neurphy.training import STAGES, TrainConfig, stage_tasks
 
 
 def small_model():
@@ -154,8 +154,9 @@ def test_global_r2_table_skips_underdetermined_fits(tasks):
 
 
 def test_stage_table(tasks):
-    assert [stage_n_c(s, 4) for s in ("training", "test", "metatest20", "metatest2")] \
-        == [4, 4, 20, 2]
+    cfg = TrainConfig(D=1, n_c=4)
+    assert [STAGES[s].draw(tasks[0], cfg, 0, 0)[0].n_c
+            for s in ("training", "test", "metatest20", "metatest2")] == [4, 4, 20, 2]
     train_ids = {t.task_id for t in stage_tasks(tasks, "training", 0)}
     assert train_ids == {t.task_id for t in stage_tasks(tasks, "test", 0)}
     test_ids = {t.task_id for t in stage_tasks(tasks, "metatest2", 0)}
@@ -256,7 +257,7 @@ def test_eval_parent_names_the_record_that_does_not_decode(grid_tree, monkeypatc
     tree = tmp_path / "tree"
     shutil.copytree(grid_tree, tree)
     data, manifest_path = tree / "pend.jsonl", tree / "run" / "manifest.json"
-    side = physics.split_indices(25, evaluation.META_TRAIN_RATIO, 0)[0]
+    side = physics.split_indices(25, training.META_TRAIN_RATIO, 0)[0]
     # the stage's last record, which the parent decodes last; the manifest
     # takes the corrupt file's digest, so the record is read
     lines = data.read_bytes().split(b"\n")
@@ -304,14 +305,14 @@ def test_eval_draws_every_context_before_it_forks(grid_tree, monkeypatch, forks,
     monkeypatch.setattr(evaluation, "FORK_TASKS", 1)
     # the stage's last task, whose chunk the child would encode
     victim = stage_tasks(load_tasks_jsonl(grid_tree / "pend.jsonl"), "training", 0)[-1]
-    context_for_stage = evaluation.context_for_stage
+    select_contexts = training.select_contexts
 
     def infeasible(task, *args):
         if task.task_id == victim.task_id:
             raise physics.InfeasibleContextError(f"task {task.task_id}: cannot draw")
-        return context_for_stage(task, *args)
+        return select_contexts(task, *args)
 
-    monkeypatch.setattr(evaluation, "context_for_stage", infeasible)
+    monkeypatch.setattr(training, "select_contexts", infeasible)
     capfd.readouterr()
     assert main(["eval", "--run", str(grid_tree / "run"), "--stage", "training"]) == EXIT_USAGE
     assert capfd.readouterr() == ("", f"error: task {victim.task_id}: cannot draw\n")

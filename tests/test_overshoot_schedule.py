@@ -8,13 +8,11 @@ import pytest
 from neurphy import autodiff as ad
 from neurphy import evaluation, training
 from neurphy.artifacts import write_csv
-from neurphy.evaluation import (STAGES, EvalStage, context_for_stage, export_manifold,
-                                global_r2_table, kl_report, rollout_mse, stage_frames,
-                                stage_n_c)
+from neurphy.evaluation import EvalStage, export_manifold, global_r2_table, kl_report, rollout_mse
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.nn import gaussian_obs_nll, kl_diag_gauss, reparameterize
 from neurphy.physics import PendulumGridConfig, generate_task_grid, select_contexts
-from neurphy.training import TrainConfig, backward_batch, elbo_loss, split_frames
+from neurphy.training import STAGES, TrainConfig, backward_batch, elbo_loss, split_frames
 
 RTOL = 1e-12
 
@@ -61,15 +59,20 @@ def loop_backward_batch(model, batch, cfg, rng):
     return breakdowns
 
 
-def loop_rollout_mse(model, tasks, stage, D, n_c=20, fraction=0.9, seed=0):
+def stage_draw(task, stage, cfg, seed):
+    """The task's (context set, frames) in the stage, as eval draws them."""
+    return STAGES[stage].draw(task, cfg, seed + task.task_id, seed + task.task_id)
+
+
+def loop_rollout_mse(model, tasks, stage, cfg, seed=0):
     """Reference: re-recognize and re-roll the mean for every distance d."""
+    D = cfg.D
     sq_sums = np.zeros(D + 1)
     counts = np.zeros(D + 1)
     for task in tasks:
-        frames = stage_frames(task, stage, D, fraction, seed)
+        ctx, frames = stage_draw(task, stage, cfg, seed)
         if frames.size == 0:
             continue
-        ctx = context_for_stage(task, stage, n_c, seed)
         r_c = ad.take_rows(model.encode_context(ctx), np.zeros(frames.size, dtype=int))
         obs = task.observations
         for d in range(D + 1):
@@ -87,28 +90,27 @@ def loop_kl_report(model, tasks, stage, cfg, seed=0):
     """Reference: one elbo_loss per task, each drawing from its own generator."""
     kls = []
     for task in tasks:
-        frames = stage_frames(task, stage, cfg.D, cfg.target_fraction, seed)
+        ctx, frames = stage_draw(task, stage, cfg, seed)
         if frames.size == 0:
             continue
-        ctx = context_for_stage(task, stage, stage_n_c(stage, cfg.n_c), seed)
         _, br = elbo_loss(model, task, ctx, frames, cfg,
                           np.random.default_rng([seed, task.task_id]))
         kls.append(br.kl)
     return list(np.mean(np.asarray(kls), axis=0))
 
 
-def loop_r2_features(model, tasks, n_c, seed, stage):
+def loop_r2_features(model, tasks, cfg, seed, stage):
     """Reference: one encode_context call per task."""
-    return np.concatenate([model.encode_context(context_for_stage(task, stage, n_c, seed)).value
+    return np.concatenate([model.encode_context(stage_draw(task, stage, cfg, seed)[0]).value
                            for task in tasks])
 
 
-def loop_export_manifold(model, tasks, global_path, state_path, n_c, seed, stage):
+def loop_export_manifold(model, tasks, global_path, state_path, cfg, seed, stage):
     """Reference: one encode_context and one recognize call per task."""
     keys = list(tasks[0].globals.keys())
     r_cs, zs = [], []
     for task in tasks:
-        r_cs.append(model.encode_context(context_for_stage(task, stage, n_c, seed)).value[0])
+        r_cs.append(model.encode_context(stage_draw(task, stage, cfg, seed)[0]).value[0])
         obs = task.observations
         zs.append(model.recognize(np.concatenate([obs[:-1], obs[1:]], axis=1)).mean.value)
     write_csv(global_path, [f"r_c_{i}" for i in range(model.cfg.dim_r)] + keys,
@@ -219,8 +221,7 @@ def test_rollout_mse_matches_loop(tasks, stage, D):
     model, n_c = stage_model(stage)
     cfg = TrainConfig(D=D, n_c=n_c, target_fraction=0.8, model=model.cfg)
     table = rollout_mse(model, EvalStage.draw(model, tasks, stage, cfg, 4))
-    want = loop_rollout_mse(model, tasks, stage, D, n_c=stage_n_c(stage, n_c), fraction=0.8,
-                            seed=4)
+    want = loop_rollout_mse(model, tasks, stage, cfg, seed=4)
     assert len(table.mse) == D + 1
     assert close(table.mse, want)
 
@@ -309,7 +310,7 @@ def test_global_r2_features_match_loop(tasks, stage, monkeypatch):
     monkeypatch.setattr(evaluation, "fit_poly_r2", spy)
     cfg = TrainConfig(n_c=n_c, model=model.cfg)
     assert global_r2_table(EvalStage.draw(model, tasks, stage, cfg, 4))
-    want = loop_r2_features(model, tasks, stage_n_c(stage, n_c), 4, stage)
+    want = loop_r2_features(model, tasks, cfg, 4, stage)
     assert seen and all(close(features, want) for features in seen)
 
 
@@ -320,7 +321,7 @@ def test_export_manifold_matches_loop(tasks, stage, tmp_path):
     want = [tmp_path / "g_loop.csv", tmp_path / "s_loop.csv"]
     cfg = TrainConfig(n_c=n_c, model=model.cfg)
     export_manifold(model, EvalStage.draw(model, tasks, stage, cfg, 4), *got)
-    loop_export_manifold(model, tasks, *want, n_c=stage_n_c(stage, n_c), seed=4, stage=stage)
+    loop_export_manifold(model, tasks, *want, cfg=cfg, seed=4, stage=stage)
     for g, w in zip(got, want):
         (g_header, g_rows), (w_header, w_rows) = csv_numbers(g), csv_numbers(w)
         assert g_header == w_header and g_rows.shape == w_rows.shape

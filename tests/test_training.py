@@ -465,6 +465,31 @@ def test_backward_batch_sets_grad(D):
         assert (p.grad is None and g is None) or np.array_equal(p.grad, g)
 
 
+def test_backward_batch_draws_as_the_training_stage(monkeypatch):
+    monkeypatch.setitem(training.STAGES, "training",
+                        training.Stage(False, "metatest_prefix", 3, "heldout"))
+    seen, chunk_elbo = [], training.chunk_elbo
+
+    def spy(model, tasks, ctxs, targets, *rest):
+        seen.extend(zip(tasks, ctxs, targets))
+        return chunk_elbo(model, tasks, ctxs, targets, *rest)
+
+    monkeypatch.setattr(training, "chunk_elbo", spy)
+    cfg = tiny_train_config()
+    model = NeurPhyModel(cfg.model, np.random.default_rng(0))
+    batch = _tasks(T=40)
+    backward_batch(model, batch, cfg, np.random.default_rng(1))
+    assert [task.task_id for task, _, _ in seen] == [task.task_id for task in batch]
+    rng = np.random.default_rng(1)  # the seeds backward_batch drew, drawn again
+    for task, ctx, frames in seen:
+        rng.integers(2 ** 31)  # the context seed
+        heldout = split_frames(task.length, cfg.D, cfg.target_fraction,
+                               int(rng.integers(2 ** 31)))[1]
+        draw_noise(rng, frames.size, cfg.D, cfg.model.dim_z)
+        assert ctx.n_c == 3 and ctx.indices.max() <= 19
+        assert np.array_equal(frames, heldout)
+
+
 def test_adam_step_releases_the_gradients_it_applied():
     cfg = tiny_train_config(D=2, batch_tasks=4)
     model = NeurPhyModel(cfg.model, np.random.default_rng(0))
