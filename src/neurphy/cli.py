@@ -1,6 +1,7 @@
 """Command-line pipeline: generate datasets, train, evaluate, roll out, plot.
 
-Exit codes: 0 success, 2 usage/config error, 3 IO error, 4 numerical abort.
+Exit codes: 0 success, 2 usage/config error, 3 IO error, 4 numerical abort,
+130 interrupted (Ctrl-C).
 The NEURPHY_SEED environment variable overrides every configured seed.
 """
 
@@ -34,6 +35,7 @@ from .training import (CHECKPOINT_FILE, METRICS_FILE, PAPER_SCALE, STAGES, Check
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+EXIT_INTERRUPTED = 130  # what a shell reports for a SIGINT
 EVAL_SEED = 12345  # eval's and rollout's default --eval-seed
 
 
@@ -381,6 +383,9 @@ def main(argv=None):
     except NonFiniteError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -133,9 +133,9 @@ def rollout_mse(model, s):
 
     d=0 is recognize-and-decode (reconstruction); d>=1 rolls the latent mean
     forward d steps before decoding. Mean rollouts are deterministic, so each
-    start frame t-d is one chain of model.mean_chains, rolled only as far as
-    its furthest scored distance, and distance d of frame t is read at step d
-    of t-d's chain.
+    start frame is one chain of model.mean_chains, rolled only as deep as the
+    deepest distance its stack row is read at, and distance d of frame t is
+    read at step d of row t-d's chain.
     """
     D = s.cfg.D
 
@@ -144,23 +144,18 @@ def rollout_mse(model, s):
         entries each sum has."""
         tasks, frames, r_c = zip(*chunk)
         obs, scored = _stack(tasks, frames)
-        n = scored.size
-        task_of = np.repeat(np.arange(len(tasks)), [f.size for f in frames])
-        # back[i, j]: the start of distance D-i of scored frame j, as a row of
-        # obs. Taken in row order, each start first appears at its depth, the
-        # largest distance it is read at, so that order is deepest first.
-        back = (scored[None, :] - np.arange(D, -1, -1)[:, None]).ravel()
-        _, first, inverse = np.unique(back, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)  # each start's place in that order
-        rank[order] = np.arange(order.size)
-        first = first[order]
-        starts, depth = back[first], D - first // n
-        latents = model.mean_chains(frame_pairs(obs, starts),
-                                    np.stack(r_c)[task_of[first % n]], depth)
-        read = rank[inverse].reshape(D + 1, n)[::-1]  # read[d, j]: distance d of frame j
-        pred = model.decode(Tensor(np.concatenate([latent[r] for latent, r in zip(latents, read)])))
-        err = pred.value.reshape(D + 1, n, -1) - obs[scored]
+        depth = np.full(len(obs), -1)  # the deepest distance each row is read at
+        for d in range(D + 1):
+            depth[scored - d] = d
+        # the starts deepest first, ascending rows within a depth
+        order = np.argsort(-depth, kind="stable")[:np.count_nonzero(depth >= 0)]
+        slot = np.empty_like(depth)  # each start's place in that order
+        slot[order] = np.arange(order.size)
+        row_r_c = np.repeat(np.stack(r_c), [task.length for task in tasks], axis=0)
+        latents = model.mean_chains(frame_pairs(obs, order), row_r_c[order], depth[order])
+        pred = model.decode(Tensor(np.concatenate([latent[slot[scored - d]]
+                                                   for d, latent in enumerate(latents)])))
+        err = pred.value.reshape(D + 1, len(scored), -1) - obs[scored]
         return np.sum(err ** 2, axis=(1, 2)), err[0].size
 
     sq_sums = np.zeros(D + 1)

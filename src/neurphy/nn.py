@@ -77,10 +77,6 @@ class DiagGaussian:
     mean: Tensor
     std: Tensor
 
-    @property
-    def dim(self):
-        return self.mean.value.shape[-1]
-
 
 class GaussianHead:
     """Linear layer producing 2*dim_z units: first half mean, second half raw std.

@@ -100,11 +100,6 @@ def eligible_frames(T, D):
     return np.arange(D + 1, T)
 
 
-def target_count(T, D, fraction):
-    """How many of the eligible frames split_frames makes targets."""
-    return max(1, int(fraction * eligible_frames(T, D).size))
-
-
 def split_frames(T, D, fraction, seed):
     """Seeded split of the eligible frames into (targets, heldout)."""
     if not 0.0 < fraction < 1.0:
@@ -113,7 +108,7 @@ def split_frames(T, D, fraction, seed):
     if eligible.size == 0:
         raise DegenerateSplitError(f"no eligible frames for T={T}, D={D}")
     order = np.random.default_rng(seed).permutation(eligible.size)
-    n_target = target_count(T, D, fraction)
+    n_target = max(1, int(fraction * eligible.size))
     targets = np.sort(eligible[order[:n_target]])
     heldout = np.sort(eligible[order[n_target:]])
     return targets, heldout
@@ -529,8 +524,9 @@ def train(tasks, cfg, run_dir=None):
     comes from cfg.seed, so identical config gives identical history.
 
     Given run_dir, it writes CHECKPOINT_FILE there every checkpoint_every
-    epochs and at the end, and METRICS_FILE for the completed epochs however
-    the loop ends, a NonFiniteError or KeyboardInterrupt included.
+    epochs and at the end, each epoch's model at most once, and METRICS_FILE
+    for the completed epochs however the loop ends, a NonFiniteError or
+    KeyboardInterrupt included.
 
     Sets a process-wide allocator policy first (keep_freed_heap): freed heap
     stays in the process for the rest of its life.
@@ -565,7 +561,8 @@ def train(tasks, cfg, run_dir=None):
                         for d in range(cfg.D)],
                     total=float(np.mean([b.total for b in breakdowns])),
                 ))
-                if ckpt and cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0:
+                if (ckpt and cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0
+                        and epoch + 1 < cfg.epochs):  # the last epoch's is saved below
                     checkpoint_save(model, cfg, ckpt)
             if ckpt:
                 checkpoint_save(model, cfg, ckpt)

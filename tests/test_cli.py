@@ -11,7 +11,7 @@ import pytest
 
 import neurphy
 from neurphy import cli, evaluation, physics, training
-from neurphy.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
+from neurphy.cli import EXIT_INTERRUPTED, EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
 from neurphy.physics import load_tasks_jsonl, task_from_json
 from neurphy.training import STAGES, checkpoint_load, checkpoint_save, stage_tasks
 
@@ -619,6 +619,48 @@ def test_run_dir_relocatable(small_tree, tmp_path):
     assert run(["eval", "--run", run_dir, "--stage", "training"]) == 0
     assert run(["rollout", "--run", run_dir, "--task", "0", "--start", "3",
                 "--horizon", "5", "--out", str(tmp_path / "roll.csv")]) == 0
+
+
+def test_ctrl_c_in_train_exits_130_with_one_line(dataset, tmp_path, monkeypatch, capfd):
+    real, epochs = training.backward_batch, []
+
+    def interrupt_second_epoch(*args):
+        epochs.append(1)
+        if len(epochs) == 2:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(training, "backward_batch", interrupt_second_epoch)
+    out = tmp_path / "run"
+    # 8 meta-train tasks, B=8: one minibatch per epoch
+    assert run(["train", "--data", str(dataset), "--out", str(out), "--D", "1",
+                "--epochs", "3", "--batch-tasks", "8", "--n-c", "4"]) == EXIT_INTERRUPTED
+    assert capfd.readouterr().err == "interrupted\n"
+    assert len((out / "metrics.csv").read_text().splitlines()) == 2  # header, epoch 0
+
+
+def test_ctrl_c_in_eval_exits_130_and_writes_no_table(small_tree, monkeypatch, capfd):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "kl_report", interrupt)
+    run_dir = small_tree / "run"
+    before = sorted(os.listdir(run_dir))
+    capfd.readouterr()
+    assert run(["eval", "--run", str(run_dir), "--stage", "training"]) == EXIT_INTERRUPTED
+    assert capfd.readouterr().err == "interrupted\n"
+    assert sorted(os.listdir(run_dir)) == before
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the training worker imports it only when it forks: it costs every CLI call ~10 ms
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(neurphy.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, neurphy.cli\nprint('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_eval_draws_each_stage_task_once(rundir, dataset, tmp_path, monkeypatch):

@@ -28,8 +28,7 @@ from neurphy.physics import (DegenerateSplitError, PendulumGridConfig, PendulumP
 from neurphy.training import (CheckpointError, CorruptCheckpointError, FormatVersionMismatchError,
                               LossBreakdown, TrainConfig, backward_batch, checkpoint_load,
                               checkpoint_save, draw_noise, elbo_loss, eligible_frames,
-                              keep_freed_heap, split_frames, target_count, train,
-                              write_metrics_csv)
+                              keep_freed_heap, split_frames, train, write_metrics_csv)
 
 
 def tiny_model_config():
@@ -275,6 +274,26 @@ def test_interrupted_train_keeps_completed_epochs(tmp_path, monkeypatch, k):
     assert len(lines) == 1 + k
     assert lines == (full / training.METRICS_FILE).read_text().splitlines()[:1 + k]
     assert not (cut / training.CHECKPOINT_FILE).exists()
+
+
+@pytest.mark.parametrize("epochs, every, writes", [(3, 1, 3), (3, 0, 1), (4, 3, 2), (0, 1, 1)])
+def test_train_writes_each_epochs_checkpoint_once(tmp_path, monkeypatch, epochs, every, writes):
+    cfg = tiny_train_config(epochs=epochs, batch_tasks=4, checkpoint_every=every)
+    plain, spied = tmp_path / "plain", tmp_path / "spied"
+    plain.mkdir()
+    spied.mkdir()
+    train(_tasks(), cfg, plain)
+    real, saved = training.checkpoint_save, []
+
+    def spy(*args):
+        saved.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(training, "checkpoint_save", spy)
+    train(_tasks(), cfg, spied)
+    assert len(saved) == writes
+    ckpt = training.CHECKPOINT_FILE
+    assert (spied / ckpt).read_bytes() == (plain / ckpt).read_bytes()
 
 
 @pytest.fixture
@@ -527,8 +546,8 @@ def test_worker_is_stopped_however_train_ends(monkeypatch, worker_submits, capfd
 
 def test_eligible_frames_and_target_count():
     assert np.array_equal(eligible_frames(101, 5), np.arange(6, 101))
-    assert target_count(101, 5, 0.9) == 85
-    assert eligible_frames(5, 5).size == 0 and target_count(5, 5, 0.9) == 1
+    assert split_frames(101, 5, 0.9, 0)[0].size == 85
+    assert eligible_frames(5, 5).size == 0
 
 
 def test_metrics_csv_schema(tmp_path):
