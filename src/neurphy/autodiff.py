@@ -89,9 +89,6 @@ class Tensor:
             return f"Tensor({self._where}, freed by backward)"
         return f"Tensor(shape={self.value.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
 
 def as_tensor(x):
     if not isinstance(x, Tensor):
@@ -120,9 +117,9 @@ def _quiet(f, **errstate):
     return quiet
 
 
-def _sigmoid(x, out=None):
+def _sigmoid(x):
     # 0.5 * (tanh(0.5 * x) + 1): the tanh form is stable for large |x|
-    y = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    y = np.tanh(x * 0.5)
     y += 1.0
     y *= 0.5
     return y
@@ -140,10 +137,10 @@ _ELEMENTWISE = {
     "sin": (np.sin, lambda g, x, y: g * np.cos(x)),
     "square": (lambda x: x * x, lambda g, x, y: g * 2.0 * x),
 }
-# The activations linear fuses: their rules read only y, so linear's vjp does
-# not keep the pre-activation array alive, and their forwards take out=, so
-# linear applies them in place.
-_FUSED = ("identity", "relu", "sigmoid", "tanh")
+# The activations linear fuses, the two the model's layers use: their rules
+# read only y, so linear's vjp does not keep the pre-activation array alive,
+# and their forwards take out=, so linear applies them in place.
+_FUSED = ("identity", "relu")
 
 
 def _elementwise(name):

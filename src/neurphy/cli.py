@@ -9,6 +9,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -272,7 +273,7 @@ def cmd_rollout(args):
 def _columns(path, header, rows):
     """The columns, as floats, of a CSV's data rows (line number, cells); a
     UsageError names the line of a row that is not header-wide or holds a cell
-    that is not a number."""
+    that is not a finite number."""
     table = []
     for n, row in rows:
         if len(row) != len(header):
@@ -283,6 +284,8 @@ def _columns(path, header, rows):
         except ValueError as exc:
             raise UsageError(f"{path}: line {n} has a cell that is not a number: "
                              f"{exc}") from exc
+        if not all(map(math.isfinite, table[-1])):
+            raise UsageError(f"{path}: line {n} has a cell that is not finite")
     return list(zip(*table))
 
 
@@ -301,23 +304,22 @@ def cmd_plot(args):
     if len(lines) < 2:
         raise UsageError(f"no data rows in {args.infile}")
     header, rows = lines[0][1], lines[1:]
+    cols = _columns(args.infile, header, rows)
     if header[:5] == ["t", "true_x", "true_y", "pred_x", "pred_y"]:
-        cols = _columns(args.infile, header, rows)
         svg = line_chart(cols[0], {"true_x": cols[1], "pred_x": cols[3]},
                          title="rollout", x_label="t", y_label="x")
-    elif header[0] == "r_c_0" and len(header) > 2:
-        cols = _columns(args.infile, header, rows)
+    elif header[0] == "r_c_0" and len(header) > 2 and not header[-1].startswith("r_c_"):
         dim_r = sum(1 for h in header if h.startswith("r_c_"))
         svg = scatter_chart(cols[0], cols[1], cols[dim_r],
                             title="global representation manifold",
                             x_label=header[0], y_label=header[1],
                             color_label=header[dim_r])
-    elif header[0] == "epoch":
-        cols = _columns(args.infile, header, rows)
+    elif header[0] == "epoch" and len(header) > 1:
         svg = line_chart(cols[0], dict(zip(header[1:], cols[1:])),
                          title="training metrics", x_label="epoch", y_label="loss")
     else:
-        raise UsageError(f"unknown CSV schema: {header}")
+        raise UsageError(f"{args.infile}: unknown CSV schema {header}; plot reads a rollout "
+                         "CSV, a manifold CSV with a colour column or a metrics CSV with a series")
     write_atomic(args.out, svg)
     print(f"wrote {args.out}")
     return 0

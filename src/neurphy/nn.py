@@ -9,12 +9,10 @@ from .autodiff import Tensor
 
 STD_FLOOR = 1e-3
 
-# The activations DenseLayer accepts, each with the standalone primitive it
-# names; ad.linear applies the same function fused with the affine map.
+# The model's two activations, the ones DenseLayer accepts, each with the
+# standalone primitive it names; ad.linear applies it fused with the affine map.
 _ACTIVATIONS = {
     "relu": ad.relu,
-    "sigmoid": ad.sigmoid,
-    "tanh": ad.tanh,
     "identity": lambda t: t,
 }
 
@@ -42,19 +40,18 @@ class DenseLayer:
 
 
 class MLP:
-    """Hidden layers with a shared activation, then a linear output layer.
+    """Relu hidden layers, then a dense output layer with out_activation.
 
     The layers do not check their outputs; the network checks its own output
     for NaN/Inf once, so an overflow in a hidden layer that reaches it raises
     there."""
 
-    def __init__(self, in_dim, hidden, out_dim, rng, name, activation="relu",
-                 out_activation="identity"):
+    def __init__(self, in_dim, hidden, out_dim, rng, name, out_activation="identity"):
         self.name = name
         self.layers = []
         prev = in_dim
         for i, width in enumerate(hidden):
-            self.layers.append(DenseLayer(prev, width, activation, rng, f"{name}.{i}"))
+            self.layers.append(DenseLayer(prev, width, "relu", rng, f"{name}.{i}"))
             prev = width
         self.layers.append(DenseLayer(prev, out_dim, out_activation, rng,
                                       f"{name}.{len(hidden)}"))

@@ -240,8 +240,9 @@ def test_linear_shape_mismatch():
 
 
 def test_linear_rejects_unfused_activation():
-    # square's rule reads the pre-activation, which linear does not keep
-    for activation in ("square", "softmax"):
+    # square's rule reads the pre-activation, which linear does not keep; no
+    # layer of the model uses sigmoid or tanh
+    for activation in ("square", "softmax", "sigmoid", "tanh"):
         with pytest.raises(ValueError, match="cannot fuse"):
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(2)),
                       activation)

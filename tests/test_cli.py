@@ -479,13 +479,34 @@ def test_plot_without_data_rows(tmp_path, capsys, text):
     (b"t,true_x,true_y,pred_x,pred_y\n0,0.1,0.2,0.3,0.4\n1,abc,2,3,4\n", 3,
      "has a cell that is not a number: could not convert string to float: 'abc'"),
     (b"epoch,recon,total\n0,1.0,2.0\n\n1,0.5,\xff\n", 4, "is not UTF-8 text"),
-], ids=["metrics", "rollout", "not a number", "not UTF-8"])
+    (b"t,true_x,true_y,pred_x,pred_y\n0,0.1,0.2,0.3,0.4\n1,0.1,inf,0.3,0.4\n", 3,
+     "has a cell that is not finite"),
+    (b"t,true_x,true_y,pred_x,pred_y\n0,0.1,0.2,0.3,0.4\n1,nan,0.2,0.3,0.4\n", 3,
+     "has a cell that is not finite"),
+    (b"r_c_0,r_c_1,l,m\n0.1,0.2,1.0,2.0\n0.3,0.4,1.5,-inf\n", 3,
+     "has a cell that is not finite"),
+], ids=["metrics", "rollout", "not a number", "not UTF-8", "rollout inf", "rollout nan",
+        "manifold inf"])
 def test_plot_short_row(tmp_path, capsys, raw, line, want):
     data = tmp_path / "short.csv"
     data.write_bytes(raw)
     out = tmp_path / "o.svg"
     assert run(["plot", "--in", str(data), "--out", str(out)]) == EXIT_USAGE
     assert f"{data}: line {line} {want}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "r_c_0,r_c_1,r_c_2\n0.1,0.2,0.3\n0.4,0.5,0.6\n",
+    "epoch\n0\n1\n",
+], ids=["manifold without globals", "metrics without series"])
+def test_plot_csv_without_a_series_to_draw(tmp_path, capsys, text):
+    data = tmp_path / "in.csv"
+    data.write_text(text)
+    out = tmp_path / "o.svg"
+    assert run(["plot", "--in", str(data), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -583,6 +604,23 @@ def test_eval_metatest20_few_tasks_skips_r2_and_writes_manifold(tmp_path):
     assert os.path.exists(prefix + "_states.csv")
     assert run(["plot", "--in", prefix + "_global.csv",
                 "--out", str(tmp_path / "mani.svg")]) == 0
+
+
+def test_D0_runs_every_command(tmp_path):
+    data, out = tmp_path / "pend.jsonl", tmp_path / "run"
+    assert run(["generate", "--system", "pendulum", "--out", str(data),
+                "--l", "1:3:3", "--m", "1:4:3", "--T", "30"]) == 0
+    assert run(["train", "--data", str(data), "--out", str(out), "--D", "0",
+                "--epochs", "2"]) == 0
+    for stage in STAGES:
+        assert run(["eval", "--run", str(out), "--stage", stage]) == 0
+        assert (out / f"kl_{stage}.csv").read_text() == f"stage\n{stage}\n"
+        assert (out / f"mse_{stage}.csv").read_text().startswith("stage,T+0\n")
+    assert (out / "metrics.csv").read_text().startswith("epoch,recon,total\n")
+    assert run(["rollout", "--run", str(out), "--task", "0", "--start", "3",
+                "--horizon", "5", "--out", str(tmp_path / "roll.csv")]) == 0
+    assert run(["plot", "--in", str(out / "metrics.csv"),
+                "--out", str(tmp_path / "metrics.svg")]) == 0
 
 
 def test_plot_manifold_axis_labels_follow_header(tmp_path):

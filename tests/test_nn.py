@@ -130,6 +130,11 @@ def test_mlp_zero_weights_zero_output():
     assert np.array_equal(out.value, np.zeros((5, 2)))
 
 
+def test_dense_layer_rejects_an_activation_the_model_does_not_use():
+    with pytest.raises(ValueError, match="^unknown activation 'tanh'$"):
+        DenseLayer(3, 3, "tanh", _rng(), "t")
+
+
 def test_identity_layer_passthrough():
     layer = DenseLayer(3, 3, "identity", _rng(), "t")
     layer.w.value = np.eye(3)
@@ -139,7 +144,7 @@ def test_identity_layer_passthrough():
 
 
 def test_mlp_gradcheck():
-    mlp = MLP(3, [8], 1, _rng(2), "t", activation="tanh")
+    mlp = MLP(3, [8], 1, _rng(2), "t")
 
     def f(t):
         return ad.tsum(mlp(t))
