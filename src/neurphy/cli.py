@@ -382,6 +382,9 @@ def main(argv=None):
     except (OSError, CheckpointError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"io error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_IO
     except NonFiniteError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -38,6 +38,9 @@ class ModelConfig:
         if self.dim_z < 1 or self.dim_r < 1:
             raise ValueError(f"dim_z and dim_r must be at least 1, got {self.dim_z} "
                              f"and {self.dim_r}")
+        # the last width of each is its Gaussian head's input
+        if not self.recognition_widths or not self.transition_widths:
+            raise ValueError("recognition_widths and transition_widths must not be empty")
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,7 @@ def overshoot(model, obs, targets, r_c, cfg, noises, sizes):
     return ad.slice_rows(z_all, 0, n), kl_rows
 
 
-def chunk_elbo(model, tasks, ctxs, targets, noises, cfg, weight):
+def elbo_loss(model, tasks, ctxs, targets, noises, cfg, weight):
     """The weighted sum of several tasks' overshooting ELBOs, as one graph.
 
     A task's ELBO is its reconstruction NLL plus its beta-weighted KL terms,
@@ -276,53 +276,41 @@ def chunk_elbo(model, tasks, ctxs, targets, noises, cfg, weight):
                                  total=float(totals[i])) for i in range(len(tasks))]
 
 
-def elbo_loss(model, task, ctx, targets, cfg, rng):
-    """Reconstruction NLL plus per-overshoot latent KL terms, averaged over
-    targets: chunk_elbo of one task at weight 1, drawing its noise from rng.
-
-    Returns (total Tensor for backward, LossBreakdown with unweighted KLs).
-    """
-    targets = np.asarray(targets)
-    noise = draw_noise(rng, targets.size, cfg.D, model.cfg.dim_z)
-    total, (breakdown,) = chunk_elbo(model, [task], [ctx], [targets], [noise], cfg, 1.0)
-    return total, breakdown
-
-
 def chunk_gradient(model, cfg):
     """The function that computes one backward_batch job, in this process or
     in the worker's: it loads the job's parameter values into model, clears
-    .grad, runs chunk_elbo and backward, and returns (the gradient of each
-    parameter, None where the chunk's graph does not reach it; the chunk's
-    LossBreakdowns)."""
+    .grad, runs elbo_loss, looked up at each call so a patch of it applies,
+    and backward, and returns (the gradient of each parameter, None where the
+    chunk's graph does not reach it; the chunk's LossBreakdowns)."""
     params = [p for _, p in model.parameters()]
 
     def gradient(job):
         values, weight, *chunk = job
         for p, value in zip(params, values):
             p.value, p.grad = value, None
-        total, breakdowns = chunk_elbo(model, *chunk, cfg, weight)
+        total, breakdowns = elbo_loss(model, *chunk, cfg, weight)
         ad.backward(total)
         return [p.grad for p in params], breakdowns
 
     return gradient
 
 
-def backward_batch(model, batch, cfg, rng, worker=None):
+def backward_batch(model, batch, cfg, rng, worker):
     """Set the parameters' .grad to the gradient of the minibatch's mean ELBO,
     with one graph and one backward per chunk of its tasks; None for a
     parameter that no chunk's graph reaches.
 
     For each task in turn, rng draws the context seed, then the frame seed,
     with which STAGES["training"] draws the task's contexts and target frames,
-    then the task's noise, as a per-task loop of elbo_loss would. Only then are
-    the tasks cut into chunks, by the rows of each task's largest network
-    input, so every draw is made before any chunk runs.
+    then the task's noise, as a per-task loop would. Only then are the tasks
+    cut into chunks, by the rows of each task's largest network input, so
+    every draw is made before any chunk runs.
 
-    Each chunk is a job of chunk_gradient, run by worker's map (a _Worker,
-    which may compute the later half in its child) or here. Each chunk's
-    gradient is added into one sum per parameter, in chunk order and in
-    place, wherever it ran, so .grad is the same either way. Returns each
-    task's LossBreakdown.
+    Each chunk is a job of chunk_gradient(model, cfg), run by worker's map: a
+    _Worker, which may compute the later half in its child, or with fork off
+    computes every job here. Each chunk's gradient is added into one sum per
+    parameter, in chunk order and in place, wherever it ran, so .grad is the
+    same either way. Returns each task's LossBreakdown.
     """
     drawn = []
     for task in batch:
@@ -336,8 +324,7 @@ def backward_batch(model, batch, cfg, rng, worker=None):
     jobs = [(values, weight, *zip(*chunk)) for chunk in _chunks(
         drawn, lambda item: max(item[1].n_c, (cfg.D + 1) * item[2].size))]
     sums, breakdowns = [None] * len(params), []
-    for grads, chunk_breakdowns in (worker.map(jobs) if worker is not None
-                                    else map(chunk_gradient(model, cfg), jobs)):
+    for grads, chunk_breakdowns in worker.map(jobs):
         for i, g in enumerate(grads):
             if sums[i] is None:
                 sums[i] = g  # an array of this chunk's own

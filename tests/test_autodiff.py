@@ -297,9 +297,10 @@ def test_no_grad_keeps_finiteness_check():
 
 
 def test_no_grad_leaves_parameter_grads_none():
+    from conftest import one_task_elbo
     from neurphy.model import ModelConfig, NeurPhyModel
     from neurphy.physics import PendulumParams, pendulum_trajectory, select_contexts
-    from neurphy.training import TrainConfig, elbo_loss
+    from neurphy.training import TrainConfig
 
     cfg = TrainConfig(D=2, model=ModelConfig(dim_z=2, dim_r=2, context_widths=[8],
                                              recognition_widths=[8, 8],
@@ -309,8 +310,8 @@ def test_no_grad_leaves_parameter_grads_none():
     task = pendulum_trajectory(PendulumParams(), 12)
     ctx = select_contexts(task, 3, "train_random", seed=1)
     with ad.no_grad():
-        total, _ = elbo_loss(model, task, ctx, np.arange(3, 12), cfg,
-                             np.random.default_rng(2))
+        total, _ = one_task_elbo(model, task, ctx, np.arange(3, 12), cfg,
+                                 np.random.default_rng(2))
     backward(total)
     assert all(p.grad is None for _, p in model.parameters())
 
@@ -399,6 +400,16 @@ for key in ("model.context.rows", "autodiff.backward.calls", "training.checkpoin
 # train's pre-flight draw, 8 meta-train tasks x 1 epoch, 1 metatest2 task, 1 rollout:
 # a draw that leaves the patched lookup sites goes uncounted
 assert t.counts["physics.select_contexts.calls"] == 11, t.counts
+# the 8 meta-train tasks make one chunk, whose ELBO runs once in the one epoch
+assert t.counts["training.elbo.calls"] == 1, t.counts
+# every timed span runs, but the JSONL reader, which cli never calls, and the
+# primitives that fused nodes replace in the model
+never = {"physics.jsonl_read", *(f"autodiff.{p}" for p in (
+    "sub", "div", "matmul", "relu", "softplus", "square", "log", "tmean", "tile_rows"))}
+spans = [s for v in tracer.TIMINGS.values() for s in ([v] if isinstance(v, str) else v)]
+assert never <= set(spans), never - set(spans)
+silent = [s for s in spans if s not in never and t.counts[s + ".calls"] == 0]
+assert not silent, silent
 """
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}

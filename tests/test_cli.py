@@ -3,8 +3,10 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -737,6 +739,52 @@ def test_eval_corrupt_checkpoint_is_io_error(small_tree, capsys):
     rc = run(["eval", "--run", str(small_tree / "run"), "--stage", "training"])
     assert rc == EXIT_IO
     assert "checksum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("widths", ["recognition_widths", "transition_widths"])
+def test_checkpoint_with_empty_head_widths_is_io_error(small_tree, tmp_path, capsys, widths):
+    # a valid checksum over a config whose network has no input to a Gaussian head
+    ckpt = small_tree / "run" / "model.ckpt"
+    body = ckpt.read_bytes()[:-4]
+    (n,) = struct.unpack_from("<I", body, 8)
+    cfg = json.loads(body[12:12 + n])
+    cfg["model"][widths] = []
+    cfg_bytes = json.dumps(cfg).encode()
+    body = body[:8] + struct.pack("<I", len(cfg_bytes)) + cfg_bytes + body[12 + n:]
+    ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    run_dir = small_tree / "run"
+    before = sorted(os.listdir(run_dir))
+    capsys.readouterr()
+    assert run(["eval", "--run", str(run_dir), "--stage", "training"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1 and str(ckpt) in err
+    roll = tmp_path / "roll.csv"
+    assert run(["rollout", "--run", str(run_dir), "--task", "0", "--start", "3",
+                "--horizon", "5", "--out", str(roll)]) == EXIT_IO
+    assert capsys.readouterr().err == err
+    assert sorted(os.listdir(run_dir)) == before and not roll.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_of_memory_is_io_error(small_tree, tmp_path, monkeypatch, capsys, command):
+    message = "Unable to allocate 23.8 GiB for an array with shape (100000000, 32)"
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "train", out_of_memory)
+    monkeypatch.setattr(cli, "rollout_mse", out_of_memory)
+    run_dir = small_tree / "run"
+    before = sorted(os.listdir(run_dir))
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--data", str(small_tree / "pend.jsonl"), "--out",
+                str(tmp_path / "run"), "--D", "1", "--epochs", "1", "--n-c", "4"]
+    else:
+        argv = ["eval", "--run", str(run_dir), "--stage", "training"]
+    assert run(argv) == EXIT_IO
+    assert capsys.readouterr().err == f"io error: out of memory: {message}\n"
+    assert sorted(os.listdir(run_dir)) == before
 
 
 def test_nonfinite_checkpoint_is_numeric_error(small_tree, tmp_path, capsys):

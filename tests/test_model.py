@@ -200,7 +200,8 @@ def test_predict_observations_matches_per_latent_decode(model):
 def test_full_loss_gradcheck_end_to_end():
     """Flatten all parameters of a tiny model into one vector and finite-diff
     the complete overshooting loss."""
-    from neurphy.training import TrainConfig, elbo_loss, split_frames
+    from conftest import one_task_elbo
+    from neurphy.training import TrainConfig, split_frames
     from neurphy.physics import select_contexts
 
     cfg = TrainConfig(D=2, model=tiny_config())
@@ -218,8 +219,8 @@ def test_full_loss_gradcheck_end_to_end():
         for (_, p), size, shape in zip(params, sizes, shapes):
             p.value = vec[lo:lo + size].reshape(shape)
             lo += size
-        total, _ = elbo_loss(model, task, ctx, targets, cfg,
-                             np.random.default_rng(99))
+        total, _ = one_task_elbo(model, task, ctx, targets, cfg,
+                                 np.random.default_rng(99))
         return total
 
     for _, p in params:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_task_elbo
 from neurphy import autodiff as ad
 from neurphy.autodiff import NonFiniteError, Tensor, backward, grad_check
 from neurphy.model import ModelConfig, NeurPhyModel
@@ -10,7 +11,7 @@ from neurphy.nn import (STD_FLOOR, Adam, DenseLayer, DiagGaussian, GaussianHead,
                         MLP, gaussian_obs_nll, kl_diag_gauss, reparameterize,
                         uniform_init)
 from neurphy.physics import PendulumParams, pendulum_trajectory, select_contexts
-from neurphy.training import TrainConfig, elbo_loss, split_frames
+from neurphy.training import TrainConfig, split_frames
 
 
 def _rng(seed=0):
@@ -108,7 +109,7 @@ def test_elbo_graph_node_count(D, most):
     task = pendulum_trajectory(PendulumParams(), 30)
     ctx = select_contexts(task, cfg.n_c, "train_random", 1)
     targets = split_frames(task.length, D, cfg.target_fraction, 2)[0]
-    total, _ = elbo_loss(model, task, ctx, targets, cfg, _rng(28))
+    total, _ = one_task_elbo(model, task, ctx, targets, cfg, _rng(28))
     assert len(ad._toposort(total)) <= most
 
 

@@ -5,6 +5,7 @@ per-overshoot and per-task loops they replace, kept here as references."""
 import numpy as np
 import pytest
 
+from conftest import one_task_elbo, serial_worker
 from neurphy import autodiff as ad
 from neurphy import evaluation, training
 from neurphy.artifacts import write_csv
@@ -12,7 +13,7 @@ from neurphy.evaluation import EvalStage, export_manifold, global_r2_table, kl_r
 from neurphy.model import ModelConfig, NeurPhyModel
 from neurphy.nn import gaussian_obs_nll, kl_diag_gauss, reparameterize
 from neurphy.physics import PendulumGridConfig, generate_task_grid, select_contexts
-from neurphy.training import STAGES, TrainConfig, backward_batch, elbo_loss, split_frames
+from neurphy.training import STAGES, TrainConfig, backward_batch, split_frames
 
 RTOL = 1e-12
 
@@ -45,15 +46,15 @@ def loop_elbo_loss(model, task, ctx, targets, cfg, rng):
 
 
 def loop_backward_batch(model, batch, cfg, rng):
-    """Reference: the per-task training loop, one elbo_loss and one backward
-    per task."""
+    """Reference: the per-task training loop, one one-task ELBO and one
+    backward per task."""
     breakdowns = []
     for task in batch:
         ctx_seed = int(rng.integers(2 ** 31))
         frame_seed = int(rng.integers(2 ** 31))
         ctx = select_contexts(task, cfg.n_c, "train_random", ctx_seed)
         targets, _ = split_frames(task.length, cfg.D, cfg.target_fraction, frame_seed)
-        total, br = elbo_loss(model, task, ctx, targets, cfg, rng)
+        total, br = one_task_elbo(model, task, ctx, targets, cfg, rng)
         ad.backward(ad.scale(total, 1.0 / len(batch)))
         breakdowns.append(br)
     return breakdowns
@@ -87,14 +88,15 @@ def loop_rollout_mse(model, tasks, stage, cfg, seed=0):
 
 
 def loop_kl_report(model, tasks, stage, cfg, seed=0):
-    """Reference: one elbo_loss per task, each drawing from its own generator."""
+    """Reference: one one-task ELBO per task, each drawing from its own
+    generator."""
     kls = []
     for task in tasks:
         ctx, frames = stage_draw(task, stage, cfg, seed)
         if frames.size == 0:
             continue
-        _, br = elbo_loss(model, task, ctx, frames, cfg,
-                          np.random.default_rng([seed, task.task_id]))
+        _, br = one_task_elbo(model, task, ctx, frames, cfg,
+                              np.random.default_rng([seed, task.task_id]))
         kls.append(br.kl)
     return list(np.mean(np.asarray(kls), axis=0))
 
@@ -170,7 +172,7 @@ def test_elbo_loss_matches_loop(tasks, D):
     want = grads(model)
     for _, p in model.parameters():
         p.grad = None
-    total_b, br = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(3))
+    total_b, br = one_task_elbo(model, task, ctx, targets, cfg, np.random.default_rng(3))
     ad.backward(total_b)
     got = grads(model)
 
@@ -202,7 +204,7 @@ def test_backward_batch_matches_task_loop(tasks, D, cap, monkeypatch):
     backward = ad.backward
     monkeypatch.setattr(ad, "backward", lambda root: backwards.append(backward(root)))
     got_rng = np.random.default_rng(9)
-    got_br = backward_batch(model, batch, cfg, got_rng)
+    got_br = backward_batch(model, batch, cfg, got_rng, serial_worker(model, cfg))
     got = grads(model)
 
     # the default cap takes the whole batch as one graph, a cap of 1 one task each

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neurphy
-from conftest import needs_worker
+from conftest import needs_worker, one_task_elbo, serial_worker
 from neurphy import autodiff as ad
 from neurphy import training
 from neurphy.autodiff import NonFiniteError
@@ -27,7 +27,7 @@ from neurphy.physics import (DegenerateSplitError, PendulumGridConfig, PendulumP
                              generate_task_grid, pendulum_trajectory, select_contexts)
 from neurphy.training import (CheckpointError, CorruptCheckpointError, FormatVersionMismatchError,
                               LossBreakdown, TrainConfig, backward_batch, checkpoint_load,
-                              checkpoint_save, draw_noise, elbo_loss, eligible_frames,
+                              checkpoint_save, draw_noise, eligible_frames,
                               keep_freed_heap, split_frames, train, write_metrics_csv)
 
 
@@ -83,7 +83,7 @@ def setup():
 
 def test_elbo_kls_nonnegative_untrained(setup):
     cfg, task, ctx, targets, model = setup
-    _, br = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(1))
+    _, br = one_task_elbo(model, task, ctx, targets, cfg, np.random.default_rng(1))
     assert all(k >= 0.0 for k in br.kl)
     assert len(br.kl) == cfg.D
 
@@ -91,13 +91,13 @@ def test_elbo_kls_nonnegative_untrained(setup):
 def test_elbo_beta_zero_total_is_recon(setup):
     _, task, ctx, targets, model = setup
     cfg = tiny_train_config(beta=[0.0, 0.0])
-    _, br = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(2))
+    _, br = one_task_elbo(model, task, ctx, targets, cfg, np.random.default_rng(2))
     assert br.total == br.recon
 
 
 def test_elbo_total_identity(setup):
     cfg, task, ctx, targets, model = setup
-    _, br = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(3))
+    _, br = one_task_elbo(model, task, ctx, targets, cfg, np.random.default_rng(3))
     expect = br.recon + sum(b * k for b, k in zip(cfg.beta, br.kl)) / cfg.D
     assert abs(br.total - expect) < 1e-9 * max(1.0, abs(expect))
 
@@ -105,14 +105,14 @@ def test_elbo_total_identity(setup):
 def test_elbo_d1_single_term(setup):
     _, task, ctx, targets, model = setup
     cfg = tiny_train_config(D=1)
-    _, br = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(4))
+    _, br = one_task_elbo(model, task, ctx, targets, cfg, np.random.default_rng(4))
     assert len(br.kl) == 1
 
 
 def test_elbo_replay_reproduces_breakdown(setup):
     cfg, task, ctx, targets, model = setup
-    _, a = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(5))
-    _, b = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(5))
+    _, a = one_task_elbo(model, task, ctx, targets, cfg, np.random.default_rng(5))
+    _, b = one_task_elbo(model, task, ctx, targets, cfg, np.random.default_rng(5))
     assert a.recon == b.recon and a.kl == b.kl and a.total == b.total
 
 
@@ -125,7 +125,7 @@ def test_elbo_gradients_take_the_frame_pairs_as_constants(setup, monkeypatch):
     def gradients():
         for _, p in model.parameters():
             p.grad = None
-        total, _ = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(6))
+        total, _ = one_task_elbo(model, task, ctx, targets, cfg, np.random.default_rng(6))
         nodes = len(ad._toposort(total))
         ad.backward(total)
         return nodes, [p.grad for _, p in model.parameters()]
@@ -145,13 +145,13 @@ def test_d5_step_frees_its_graph_behind_the_sweep():
     tasks, _ = generate_task_grid(PendulumGridConfig(l_count=2, m_count=2))
     cfg = TrainConfig(D=5, batch_tasks=2)
     model = NeurPhyModel(cfg.model, np.random.default_rng(0))
-    rng = np.random.default_rng(0)
-    backward_batch(model, tasks[:2], cfg, rng)  # first-call allocations
+    rng, worker = np.random.default_rng(0), serial_worker(model, cfg)
+    backward_batch(model, tasks[:2], cfg, rng, worker)  # first-call allocations
     for _, p in model.parameters():
         p.grad = None
     tracemalloc.start()
     try:
-        backward_batch(model, tasks[2:], cfg, rng)
+        backward_batch(model, tasks[2:], cfg, rng, worker)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -319,16 +319,16 @@ def serial_only(monkeypatch):
 
 
 def inject(monkeypatch, fail):
-    """chunk_elbo, raising fail(tasks) where that is an exception."""
-    real = training.chunk_elbo
+    """elbo_loss, raising fail(tasks) where that is an exception."""
+    real = training.elbo_loss
 
-    def chunk_elbo(model, tasks, *rest):
+    def elbo_loss(model, tasks, *rest):
         exc = fail(tasks)
         if exc is not None:
             raise exc
         return real(model, tasks, *rest)
 
-    monkeypatch.setattr(training, "chunk_elbo", chunk_elbo)
+    monkeypatch.setattr(training, "elbo_loss", elbo_loss)
 
 
 @needs_worker
@@ -474,12 +474,12 @@ def test_backward_batch_sets_grad(D):
     # at D=0 no gradient reaches the context encoder or the transition
     cfg = tiny_train_config(D=D, batch_tasks=4)
     model = NeurPhyModel(cfg.model, np.random.default_rng(0))
-    backward_batch(model, _tasks(), cfg, np.random.default_rng(1))
+    backward_batch(model, _tasks(), cfg, np.random.default_rng(1), serial_worker(model, cfg))
     want = [p.grad for _, p in model.parameters()]
     assert any(g is None for g in want) == (D == 0)
     for _, p in model.parameters():
         p.grad = np.full_like(p.value, 7.0)
-    backward_batch(model, _tasks(), cfg, np.random.default_rng(1))
+    backward_batch(model, _tasks(), cfg, np.random.default_rng(1), serial_worker(model, cfg))
     for (_, p), g in zip(model.parameters(), want, strict=True):
         assert (p.grad is None and g is None) or np.array_equal(p.grad, g)
 
@@ -487,17 +487,17 @@ def test_backward_batch_sets_grad(D):
 def test_backward_batch_draws_as_the_training_stage(monkeypatch):
     monkeypatch.setitem(training.STAGES, "training",
                         training.Stage(False, "metatest_prefix", 3, "heldout"))
-    seen, chunk_elbo = [], training.chunk_elbo
+    seen, elbo_loss = [], training.elbo_loss
 
     def spy(model, tasks, ctxs, targets, *rest):
         seen.extend(zip(tasks, ctxs, targets))
-        return chunk_elbo(model, tasks, ctxs, targets, *rest)
+        return elbo_loss(model, tasks, ctxs, targets, *rest)
 
-    monkeypatch.setattr(training, "chunk_elbo", spy)
+    monkeypatch.setattr(training, "elbo_loss", spy)
     cfg = tiny_train_config()
     model = NeurPhyModel(cfg.model, np.random.default_rng(0))
     batch = _tasks(T=40)
-    backward_batch(model, batch, cfg, np.random.default_rng(1))
+    backward_batch(model, batch, cfg, np.random.default_rng(1), serial_worker(model, cfg))
     assert [task.task_id for task, _, _ in seen] == [task.task_id for task in batch]
     rng = np.random.default_rng(1)  # the seeds backward_batch drew, drawn again
     for task, ctx, frames in seen:
@@ -513,7 +513,7 @@ def test_adam_step_releases_the_gradients_it_applied():
     cfg = tiny_train_config(D=2, batch_tasks=4)
     model = NeurPhyModel(cfg.model, np.random.default_rng(0))
     opt = Adam(model.parameters(), lr=cfg.lr)
-    backward_batch(model, _tasks(), cfg, np.random.default_rng(1))
+    backward_batch(model, _tasks(), cfg, np.random.default_rng(1), serial_worker(model, cfg))
     assert all(p.grad is not None for _, p in model.parameters())
     opt.step()
     assert all(p.grad is None for _, p in model.parameters())
@@ -637,6 +637,12 @@ def with_first_shape_swapped(body):
     return body[:pos] + struct.pack("<2I", cols, rows) + body[pos + 8:]
 
 
+def with_model_config(**fields):
+    d = dataclasses.asdict(tiny_train_config())
+    d["model"].update(fields)
+    return with_config(json.dumps(d, sort_keys=True).encode())
+
+
 MALFORMED = {
     "n_params": with_n_params,
     "unknown config key": with_config(json.dumps(
@@ -644,6 +650,8 @@ MALFORMED = {
     "config cut mid-UTF-8": with_config('{"D": "\u00e9"}'.encode()[:-3]),
     "invalid config JSON": with_config(b"{not json"),
     "swapped parameter shape": with_first_shape_swapped,
+    "empty recognition_widths": with_model_config(recognition_widths=[]),
+    "empty transition_widths": with_model_config(transition_widths=[]),
 }
 
 
@@ -669,11 +677,11 @@ def test_checkpoint_load_evaluates_identically(tmp_path):
     ctx = select_contexts(task, cfg.n_c, "train_random", seed=0)
     targets, _ = split_frames(task.length, cfg.D, 0.9, seed=0)
     model, _ = train([task], tiny_train_config(epochs=2, batch_tasks=1))
-    _, before = elbo_loss(model, task, ctx, targets, cfg, np.random.default_rng(6))
+    _, before = one_task_elbo(model, task, ctx, targets, cfg, np.random.default_rng(6))
     path = tmp_path / "m.ckpt"
     checkpoint_save(model, cfg, path)
     loaded, _ = checkpoint_load(path)
-    _, after = elbo_loss(loaded, task, ctx, targets, cfg, np.random.default_rng(6))
+    _, after = one_task_elbo(loaded, task, ctx, targets, cfg, np.random.default_rng(6))
     assert before.total == after.total
 
 
